@@ -15,7 +15,7 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
     : config_(config),
       workload_(std::move(workload)),
       machine_(config.machine),
-      cluster_index_(machine_, jobs_, config.shards),
+      cluster_index_(machine_, jobs_),
       node_mgr_(machine_, jobs_, drom_),
       tracker_(config.execution_model) {
   // Already-prepared workloads (the generators and SweepRunner prepare once)
@@ -51,7 +51,7 @@ Simulation::Simulation(SimulationConfig config, Workload workload)
   if (predictor_) {
     scheduler_->set_runtime_predictor(&*predictor_);
   }
-  scheduler_->set_sharded_index(&cluster_index_);
+  scheduler_->set_cluster_index(&cluster_index_);
   engine_.set_handler([this](const EventQueue::Fired& fired) { handle_event(fired); });
 }
 

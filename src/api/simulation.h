@@ -20,8 +20,6 @@
 #include "api/report.h"
 #include "cluster/cluster_state_index.h"
 #include "cluster/machine.h"
-#include "cluster/shard_layout.h"
-#include "cluster/sharded_cluster_index.h"
 #include "core/sd_config.h"
 #include "core/sd_policy.h"
 #include "drom/node_manager.h"
@@ -74,12 +72,6 @@ struct SimulationConfig {
   /// what makes high-frequency malleability viable.
   SimTime reconfig_overhead = 0;
 
-  /// Node-contiguous scheduler-state shards (cluster/shard_layout.h).
-  /// Decisions are byte-identical at every count (deterministic ordered
-  /// shard merge); count > 1 splits pass work per shard, and parallel
-  /// additionally fans candidate scans onto the shared worker pool.
-  ShardConfig shards;
-
   /// Safety valve for runaway simulations (0 = unlimited).
   std::uint64_t max_events = 0;
 };
@@ -120,7 +112,7 @@ class Simulation final : public StartExecutor {
   Engine engine_;
   Machine machine_;
   JobRegistry jobs_;
-  ShardedClusterIndex cluster_index_;
+  ClusterStateIndex cluster_index_;
   DromRegistry drom_;
   NodeManager node_mgr_;
   ProgressTracker tracker_;

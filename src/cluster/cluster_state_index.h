@@ -50,13 +50,8 @@ namespace sdsched {
 class ClusterStateIndex final : public MachineObserver {
  public:
   /// Attaches to `machine` as its observer and indexes its current state.
-  /// `jobs` provides occupants' predicted ends. With `attach_observer`
-  /// false the index never touches the machine's observer slot: an owner
-  /// (ShardedClusterIndex) registers itself instead and routes every
-  /// notification through, reading the per-node before/after state to keep
-  /// its shard aggregates in lockstep.
-  ClusterStateIndex(Machine& machine, const JobRegistry& jobs,
-                    bool attach_observer = true);
+  /// `jobs` provides occupants' predicted ends.
+  ClusterStateIndex(Machine& machine, const JobRegistry& jobs);
   ~ClusterStateIndex() override;
 
   ClusterStateIndex(const ClusterStateIndex&) = delete;
@@ -132,11 +127,6 @@ class ClusterStateIndex final : public MachineObserver {
   [[nodiscard]] bool check_consistent(std::string* diagnosis = nullptr) const;
 
  private:
-  /// The sharded coordinator routes machine notifications through this
-  /// index and mirrors per-node free_at transitions into its per-shard
-  /// aggregates — it needs the pre/post node_free_at_ view and refresh_node.
-  friend class ShardedClusterIndex;
-
   /// Recompute one node's free_at and class/free bookkeeping; bumps the
   /// version only when something actually changed.
   void refresh_node(int node_id);
@@ -166,15 +156,13 @@ class ClusterStateIndex final : public MachineObserver {
 
   std::uint64_t version_ = 0;
   std::uint64_t mutation_serial_ = 0;
-  bool attached_ = false;  ///< this index holds the machine's observer slot
 };
 
-/// Free-node picking through the index when one is attached, through the
-/// machine scan otherwise — the single dispatch point schedulers and the
-/// MateSelector share. Under SDSCHED_INDEX_CROSSCHECK every indexed pick is
-/// compared against the machine scan.
+/// Free-node picking through the index — the single pick point schedulers
+/// and the MateSelector share. Under SDSCHED_INDEX_CROSSCHECK every pick is
+/// compared against the machine scan, the oracle the index replaced.
 [[nodiscard]] std::optional<std::vector<int>> pick_free_nodes(
-    const Machine& machine, const ClusterStateIndex* index, int count,
+    const Machine& machine, const ClusterStateIndex& index, int count,
     const JobConstraints* constraints);
 
 }  // namespace sdsched

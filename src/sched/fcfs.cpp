@@ -3,6 +3,7 @@
 namespace sdsched {
 
 void FcfsScheduler::schedule_pass(SimTime now) {
+  require_cluster_index();
   if (queue_.empty()) return;
   // One ordered view for the whole pass (priorities are fixed at a given
   // `now`, and removal does not reorder the rest): strict FCFS — the first

@@ -1,23 +1,23 @@
 #include "sched/scheduler.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "cluster/cluster_state_index.h"
-#include "cluster/sharded_cluster_index.h"
 
 namespace sdsched {
 
-void Scheduler::set_sharded_index(const ShardedClusterIndex* sharded) noexcept {
-  sharded_index_ = sharded;
-  set_cluster_index(sharded != nullptr ? &sharded->flat() : nullptr);
+void Scheduler::require_cluster_index() const {
+  if (cluster_index_ == nullptr) {
+    throw std::logic_error(std::string("scheduler '") + name() +
+                           "': scheduling pass without a cluster index "
+                           "(attach one with set_cluster_index)");
+  }
 }
 
 std::optional<std::vector<int>> Scheduler::find_free_nodes(
     int count, const JobConstraints& constraints) const {
-  if (sharded_index_ != nullptr && sharded_index_->shard_count() > 1) {
-    // Ordered shard merge — byte-identical to the flat pick (crosschecked
-    // internally under SDSCHED_INDEX_CROSSCHECK).
-    return sharded_index_->find_free_nodes(count, &constraints);
-  }
-  return pick_free_nodes(machine_, cluster_index_, count, &constraints);
+  return pick_free_nodes(machine_, *cluster_index_, count, &constraints);
 }
 
 }  // namespace sdsched

@@ -80,12 +80,21 @@ Workload read_swf_reference(std::istream& in, const SwfReadOptions& options) {
     std::istringstream fields(line);
     std::array<long long, 18> f{};
     int parsed = 0;
+    std::string stop;
     for (; parsed < 18; ++parsed) {
-      if (!(fields >> f[parsed])) break;
+      // tellg() fails once the row is exhausted: then no token stopped us.
+      const std::streamoff before = fields.tellg();
+      if (!(fields >> f[parsed])) {
+        f[parsed] = 0;  // overflow stores the clamped limit; unparsed stays 0
+        if (before >= 0) {
+          std::istringstream rest(line.substr(static_cast<std::size_t>(before)));
+          rest >> stop;
+        }
+        break;
+      }
     }
     if (parsed < 11) {
-      throw std::runtime_error("SWF line " + std::to_string(line_number) +
-                               ": expected >=11 fields, got " + std::to_string(parsed));
+      throw std::runtime_error(swf_short_row_error(line_number, parsed, stop));
     }
 
     const long long status = f[10];

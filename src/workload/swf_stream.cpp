@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <stdexcept>
 
 #include "util/logging.h"
@@ -27,46 +28,66 @@ constexpr bool is_field_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' || c == '\n';
 }
 
+/// Parse an optionally-signed decimal integer at `p`, advancing `p` past
+/// the digits. Fails — like istream extraction and std::stoll — when no
+/// digit follows the sign or the value is outside long long's range; the
+/// magnitude is accumulated against the sign's limit (|LLONG_MIN| is one
+/// past LLONG_MAX), so no digit run can wrap.
+bool parse_integer(const char*& p, const char* end, long long& out) {
+  bool negative = false;
+  if (p < end && (*p == '+' || *p == '-')) {
+    negative = (*p == '-');
+    ++p;
+  }
+  const unsigned long long limit =
+      static_cast<unsigned long long>(std::numeric_limits<long long>::max()) +
+      (negative ? 1 : 0);
+  unsigned long long value = 0;
+  bool digits = false;
+  bool overflow = false;
+  for (; p < end && *p >= '0' && *p <= '9'; ++p) {
+    const auto digit = static_cast<unsigned long long>(*p - '0');
+    overflow = overflow || value > (limit - digit) / 10;
+    if (!overflow) value = value * 10 + digit;
+    digits = true;
+  }
+  if (!digits || overflow) return false;
+  out = negative && value != 0 ? -static_cast<long long>(value - 1) - 1
+                               : static_cast<long long>(value);
+  return true;
+}
+
 /// In-buffer scan of up to 18 whitespace-separated integer fields —
 /// the zero-allocation equivalent of the reference reader's per-row
 /// `istringstream >> long long` loop, with identical stop semantics: a
-/// field that does not start with an optionally-signed digit ends the scan
-/// (so "12x" parses 12 and stops at the 'x' exactly like extraction did).
-/// Unparsed trailing fields stay 0.
-int scan_fields(std::string_view line, std::array<long long, 18>& fields) {
+/// field parse_integer rejects ends the scan (so "12x" parses 12 and stops
+/// at the 'x' exactly like extraction did, and an overflowing digit run
+/// stops it too). `stop` receives the token the scan stopped at, empty
+/// when the line ran out. Unparsed trailing fields stay 0.
+int scan_fields(std::string_view line, std::array<long long, 18>& fields,
+                std::string_view& stop) {
   const char* p = line.data();
   const char* const end = p + line.size();
+  stop = {};
   int parsed = 0;
   for (; parsed < 18; ++parsed) {
     while (p < end && is_field_space(*p)) ++p;
     if (p == end) break;
-    bool negative = false;
     const char* const field_start = p;
-    if (*p == '+' || *p == '-') {
-      negative = (*p == '-');
-      ++p;
-    }
-    if (p == end || *p < '0' || *p > '9') {
-      p = field_start;  // extraction failure: nothing consumed
+    if (!parse_integer(p, end, fields[static_cast<std::size_t>(parsed)])) {
+      const char* token_end = field_start;
+      while (token_end < end && !is_field_space(*token_end)) ++token_end;
+      stop = std::string_view(field_start, static_cast<std::size_t>(token_end - field_start));
       break;
     }
-    // Unsigned accumulation: an absurdly long digit run wraps instead of
-    // tripping signed-overflow UB (SWF fields are epoch seconds and core
-    // counts — far inside 64 bits for any real log).
-    unsigned long long value = 0;
-    while (p < end && *p >= '0' && *p <= '9') {
-      value = value * 10 + static_cast<unsigned long long>(*p - '0');
-      ++p;
-    }
-    fields[static_cast<std::size_t>(parsed)] =
-        negative ? -static_cast<long long>(value) : static_cast<long long>(value);
   }
   return parsed;
 }
 
 /// Parse one numeric header like "; MaxNodes: 1024" — the string_view
 /// equivalent of the reference reader's find + stoll (whitespace and sign
-/// allowed after the colon; anything after the digits is ignored).
+/// allowed after the colon; anything after the digits is ignored; an
+/// out-of-range value is no header, as stoll's out_of_range is).
 bool parse_header(std::string_view line, std::string_view key, long long& out) {
   const auto pos = line.find(key);
   if (pos == std::string_view::npos) return false;
@@ -75,22 +96,23 @@ bool parse_header(std::string_view line, std::string_view key, long long& out) {
   const char* p = line.data() + colon + 1;
   const char* const end = line.data() + line.size();
   while (p < end && is_field_space(*p)) ++p;
-  bool negative = false;
-  if (p < end && (*p == '+' || *p == '-')) {
-    negative = (*p == '-');
-    ++p;
-  }
-  if (p == end || *p < '0' || *p > '9') return false;
-  unsigned long long value = 0;
-  while (p < end && *p >= '0' && *p <= '9') {
-    value = value * 10 + static_cast<unsigned long long>(*p - '0');
-    ++p;
-  }
-  out = negative ? -static_cast<long long>(value) : static_cast<long long>(value);
-  return true;
+  return parse_integer(p, end, out);
 }
 
 }  // namespace
+
+std::string swf_short_row_error(std::size_t line, int parsed, std::string_view stop_token) {
+  std::string message = "SWF line " + std::to_string(line) + ": field " +
+                        std::to_string(parsed + 1) + ": ";
+  if (stop_token.empty()) {
+    message += "missing";
+  } else {
+    message += "cannot parse '";
+    message += stop_token;
+    message += "' as an integer";
+  }
+  return message + " (a job row needs >= 11 numeric fields)";
+}
 
 // ---------------------------------------------------------------------------
 // SwfChunkReader
@@ -205,10 +227,10 @@ bool SwfJobStream::next(JobSpec& spec) {
       continue;
     }
     std::array<long long, 18> fields{};
-    const int parsed = scan_fields(line, fields);
+    std::string_view stop;
+    const int parsed = scan_fields(line, fields, stop);
     if (parsed < 11) {
-      throw std::runtime_error("SWF line " + std::to_string(stats_.lines) +
-                               ": expected >=11 fields, got " + std::to_string(parsed));
+      throw std::runtime_error(swf_short_row_error(stats_.lines, parsed, stop));
     }
 
     const long long status = fields[10];

@@ -142,4 +142,10 @@ class SwfJobStream {
   bool done_ = false;
 };
 
+/// The error both SWF readers raise for a data row with fewer than 11
+/// numeric fields: names the 1-based field the scan stopped at and the
+/// token that stopped it (`stop_token` empty: the row simply ended).
+[[nodiscard]] std::string swf_short_row_error(std::size_t line, int parsed,
+                                              std::string_view stop_token);
+
 }  // namespace sdsched

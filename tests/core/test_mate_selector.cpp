@@ -3,18 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
-#include "drom/node_manager.h"
+#include "../sched/scheduler_test_harness.h"
 
 namespace sdsched {
 namespace {
+
+using testing_support::TestCluster;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 class MateSelectorTest : public ::testing::Test {
  protected:
-  MateSelectorTest()
-      : machine_(make_config()), mgr_(machine_, jobs_, drom_), selector_(machine_, jobs_, sd_) {}
+  MateSelectorTest() : cluster_(make_config()), selector_(make_selector(sd_)) {}
+
+  /// A selector over the fixture's cluster, registry and index.
+  MateSelector make_selector(const SdConfig& config) {
+    MateSelector selector(cluster_.machine, cluster_.jobs, cluster_.mates, config);
+    selector.set_cluster_index(&cluster_.index);
+    return selector;
+  }
 
   static MachineConfig make_config() {
     MachineConfig config;
@@ -31,13 +40,8 @@ class MateSelectorTest : public ::testing::Test {
     spec.base_runtime = req_time;
     spec.req_cpus = nodes * 48;
     spec.req_nodes = nodes;
-    const JobId id = jobs_.add(spec);
-    Job& job = jobs_.at(id);
-    job.state = JobState::Running;
-    job.start_time = start;
-    job.predicted_end = start + req_time;
-    const auto free = machine_.find_free_nodes(nodes);
-    mgr_.start_static(start, id, *free);
+    const JobId id = cluster_.jobs.add(spec);
+    cluster_.start_static(id, *cluster_.machine.find_free_nodes(nodes), start);
     return id;
   }
 
@@ -49,14 +53,11 @@ class MateSelectorTest : public ::testing::Test {
     spec.base_runtime = req_time;
     spec.req_cpus = nodes * 48;
     spec.req_nodes = nodes;
-    const JobId id = jobs_.add(spec);
-    return jobs_.at(id);
+    const JobId id = cluster_.jobs.add(spec);
+    return cluster_.jobs.at(id);
   }
 
-  Machine machine_;
-  JobRegistry jobs_;
-  DromRegistry drom_;
-  NodeManager mgr_;
+  TestCluster cluster_;
   SdConfig sd_;
   MateSelector selector_;
 };
@@ -107,7 +108,7 @@ TEST_F(MateSelectorTest, MaxMatesLimitsCombination) {
 
   SdConfig wide = sd_;
   wide.max_mates = 3;
-  MateSelector wide_selector(machine_, jobs_, wide);
+  const MateSelector wide_selector = make_selector(wide);
   EXPECT_TRUE(wide_selector.select(guest, 0, kInf).has_value());
 }
 
@@ -145,11 +146,8 @@ TEST_F(MateSelectorTest, RigidJobsAreNotMates) {
   spec.req_cpus = 96;
   spec.req_nodes = 2;
   spec.malleability = MalleabilityClass::Rigid;
-  const JobId id = jobs_.add(spec);
-  Job& job = jobs_.at(id);
-  job.state = JobState::Running;
-  job.predicted_end = 10000;
-  mgr_.start_static(0, id, *machine_.find_free_nodes(2));
+  const JobId id = cluster_.jobs.add(spec);
+  cluster_.start_static(id, *cluster_.machine.find_free_nodes(2), 0);
 
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
@@ -157,14 +155,14 @@ TEST_F(MateSelectorTest, RigidJobsAreNotMates) {
 
 TEST_F(MateSelectorTest, BusyMatesWithGuestsAreIneligible) {
   const JobId mate = run_mate(2, 0, 10000);
-  jobs_.at(mate).guests.push_back(999);  // already hosting
+  cluster_.jobs.at(mate).guests.push_back(999);  // already hosting
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
 }
 
 TEST_F(MateSelectorTest, ExGuestsAreIneligible) {
   const JobId mate = run_mate(2, 0, 10000);
-  jobs_.at(mate).started_as_guest = true;
+  cluster_.jobs.at(mate).started_as_guest = true;
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
 }
@@ -178,11 +176,8 @@ TEST_F(MateSelectorTest, RankFloorBlocksOverShrink) {
   spec.req_cpus = 96;
   spec.req_nodes = 2;
   spec.ranks_per_node = 30;
-  const JobId id = jobs_.add(spec);
-  Job& mate = jobs_.at(id);
-  mate.state = JobState::Running;
-  mate.predicted_end = 10000;
-  mgr_.start_static(0, id, *machine_.find_free_nodes(2));
+  const JobId id = cluster_.jobs.add(spec);
+  cluster_.start_static(id, *cluster_.machine.find_free_nodes(2), 0);
 
   Job& guest = pending_guest(2, 100);
   const auto plan = selector_.select(guest, 0, kInf);
@@ -208,7 +203,7 @@ TEST_F(MateSelectorTest, MinimizesPerformanceImpactAcrossCombinations) {
 TEST_F(MateSelectorTest, FreeNodesReduceMateCount) {
   SdConfig with_free = sd_;
   with_free.include_free_nodes = true;
-  MateSelector free_selector(machine_, jobs_, with_free);
+  const MateSelector free_selector = make_selector(with_free);
 
   run_mate(2, 0, 10000);  // leaves 6 nodes free
   Job& guest = pending_guest(3, 500);
@@ -244,6 +239,13 @@ TEST_F(MateSelectorTest, PendingJobsNeverSelected) {
   (void)other;
   Job& guest = pending_guest(2, 100);
   EXPECT_FALSE(selector_.select(guest, 0, kInf).has_value());
+}
+
+TEST_F(MateSelectorTest, SelectWithoutClusterIndexThrows) {
+  run_mate(2, 0, 10000);
+  Job& guest = pending_guest(2, 1000);
+  const MateSelector unwired(cluster_.machine, cluster_.jobs, cluster_.mates, sd_);
+  EXPECT_THROW((void)unwired.select(guest, 100, kInf), std::logic_error);
 }
 
 }  // namespace

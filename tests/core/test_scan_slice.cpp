@@ -1,20 +1,17 @@
-// Whole-simulation shard parity (ISSUE 10): the sharded scheduler state
-// must be a pure work-splitting transform — every shard count, parallel
-// fan-out included, makes byte-identical decisions to the serial flat
-// index (docs/determinism.md "Ordered shard merge"). Plus the rotating
-// guest-budget slice (SdConfig::scan.slice): kPrefix stays the historical
-// byte-identical default, kRotate walks the window across passes so a
-// head guest that perpetually burns the budget cannot starve the tail.
+// The rotating guest-budget slice (SdConfig::scan.slice): kPrefix is the
+// historical byte-identical default, kRotate walks the window across
+// passes so a head guest that perpetually burns the budget cannot starve
+// the tail.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "../integration/golden_common.h"
 #include "api/experiment.h"
 #include "api/simulation.h"
 #include "core/guest_scan_policy.h"
-#include "core/sd_policy.h"
 #include "metrics/summary.h"
 #include "util/json.h"
 #include "workload/cirne.h"
@@ -53,110 +50,12 @@ Workload saturated_workload(std::uint64_t seed) {
   return generate_cirne(wl);
 }
 
-/// Wide machine fully tiled by 1-node mates, then a stream of 2-node
-/// guests facing a 10000s static wait: every guest runs a full mate
-/// selection over 256 running candidates — past the parallel fan-out
-/// threshold, spread evenly across the shards.
-Workload wide_workload() {
-  std::vector<JobSpec> specs;
-  for (int i = 0; i < 256; ++i) {
-    JobSpec mate;
-    mate.submit = 0;
-    mate.req_cpus = 8;
-    mate.req_nodes = 1;
-    mate.base_runtime = 10000;
-    mate.req_time = 10000;
-    specs.push_back(mate);
-  }
-  for (int g = 0; g < 8; ++g) {
-    JobSpec guest;
-    guest.submit = 10 + g;
-    guest.req_cpus = 16;
-    guest.req_nodes = 2;  // coverable by max_mates=2 one-node mates
-    guest.base_runtime = 500;
-    guest.req_time = 500;
-    specs.push_back(guest);
-  }
-  return Workload(WorkloadInfo{"wide-pool"}, std::move(specs));
-}
-
 MachineConfig machine_of(int nodes) {
   MachineConfig machine;
   machine.nodes = nodes;
   machine.node = NodeConfig{2, 4};
   return machine;
 }
-
-SimulationReport run_sd(const Workload& workload, int nodes, ShardConfig shards,
-                        PolicyKind policy = PolicyKind::SdPolicy) {
-  SimulationConfig cfg = sd_config(machine_of(nodes), CutoffConfig::dynamic_avg());
-  cfg.policy = policy;
-  cfg.shards = shards;
-  return Simulation(cfg, workload).run();
-}
-
-// The tentpole contract: every shard count — parallel candidate fan-out
-// included — reproduces the serial flat run byte-for-byte.
-TEST(ShardParity, SdDecisionsIdenticalAtEveryShardCount) {
-  for (const std::uint64_t seed : {3u, 29u}) {
-    const Workload workload = saturated_workload(seed);
-    const std::string flat = decision_document(run_sd(workload, 64, ShardConfig{1, false}));
-    for (const int shards : {2, 7, 64}) {
-      for (const bool parallel : {false, true}) {
-        const std::string doc =
-            decision_document(run_sd(workload, 64, ShardConfig{shards, parallel}));
-        EXPECT_EQ(flat, doc) << "seed " << seed << ", " << shards << " shards, parallel "
-                             << parallel;
-      }
-    }
-  }
-}
-
-TEST(ShardParity, WideMachineParallelScanIdentical) {
-  const Workload workload = wide_workload();
-  const std::string flat = decision_document(run_sd(workload, 256, ShardConfig{1, false}));
-  for (const int shards : {4, 64}) {
-    const std::string doc =
-        decision_document(run_sd(workload, 256, ShardConfig{shards, true}));
-    EXPECT_EQ(flat, doc) << shards << " shards";
-  }
-}
-
-TEST(ShardParity, BackfillDecisionsIdenticalSharded) {
-  const Workload workload = saturated_workload(7u);
-  const std::string flat = decision_document(
-      run_sd(workload, 64, ShardConfig{1, false}, PolicyKind::Backfill));
-  const std::string sharded = decision_document(
-      run_sd(workload, 64, ShardConfig{4, false}, PolicyKind::Backfill));
-  EXPECT_EQ(flat, sharded);
-}
-
-// Work-split evidence: the per-shard scan counters partition the flat scan
-// count exactly — the merge re-examines nothing and drops nothing.
-TEST(ShardParity, ShardScanCountersPartitionFlatWork) {
-  SimulationConfig cfg = sd_config(machine_of(256), CutoffConfig::dynamic_avg());
-  cfg.shards = ShardConfig{4, true};
-  Simulation sim(cfg, wide_workload());
-  (void)sim.run();
-
-  const auto* sd = dynamic_cast<const SdPolicyScheduler*>(&sim.scheduler());
-  ASSERT_NE(sd, nullptr);
-  const MateSelector::SelectStats& stats = sd->selector_stats();
-  EXPECT_GT(stats.sharded_selects, 0u);
-  EXPECT_EQ(stats.sharded_selects, stats.selects);  // every select took the shard path
-  ASSERT_EQ(stats.shard_scanned.size(), 4u);
-  std::uint64_t sum = 0;
-  int active_shards = 0;
-  for (const std::uint64_t scanned : stats.shard_scanned) {
-    sum += scanned;
-    if (scanned > 0) ++active_shards;
-    EXPECT_LT(scanned, stats.candidates_scanned) << "one shard carried the whole scan";
-  }
-  EXPECT_EQ(sum, stats.candidates_scanned);
-  EXPECT_GE(active_shards, 2) << "the shard split never spread candidates";
-}
-
-// --- SdConfig::scan.slice (satellite) -------------------------------------
 
 /// Two-node stage for the starvation scenario: two long 1-node mates
 /// holding the whole machine, a big guest A that burns the single budget
@@ -198,7 +97,7 @@ SimulationReport run_slice(SliceKind slice) {
   return Simulation(cfg, starvation_workload()).run();
 }
 
-TEST(ShardSlice, RotateDrainsStarvedTail) {
+TEST(ScanSlice, RotateDrainsStarvedTail) {
   const SimulationReport prefix = run_slice(SliceKind::kPrefix);
   const SimulationReport rotate = run_slice(SliceKind::kRotate);
 
@@ -232,7 +131,7 @@ TEST(ShardSlice, RotateDrainsStarvedTail) {
 
 // A rotating window at least the queue depth wraps to offset 0 every pass —
 // the unbounded prefix pass, byte for byte.
-TEST(ShardSlice, CoveringRotateMatchesUnboundedPrefix) {
+TEST(ScanSlice, CoveringRotateMatchesUnboundedPrefix) {
   const Workload workload = saturated_workload(11u);
   SimulationConfig unbounded = sd_config(machine_of(64), CutoffConfig::dynamic_avg());
   const std::string base =

@@ -2,22 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "../sched/scheduler_test_harness.h"
 
 namespace sdsched {
 namespace {
 
 using testing_support::RecordingExecutor;
-using testing_support::finish;
+using testing_support::TestCluster;
 using testing_support::spec_of;
 
 class SdPolicyTest : public ::testing::Test {
  protected:
   SdPolicyTest()
-      : machine_(make_config()),
-        mgr_(machine_, jobs_, drom_),
-        executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, SchedConfig{}, permissive()) {}
+      : cluster_(make_config()),
+        executor_(cluster_),
+        sched_(cluster_.machine, cluster_.jobs, executor_, SchedConfig{}, permissive()) {
+    sched_.set_cluster_index(&cluster_.index);
+  }
 
   // Unit tests exercise the mechanics with an unbounded cut-off; DynAVGSD's
   // filtering (which needs a populated machine to admit anyone) has its own
@@ -37,15 +40,12 @@ class SdPolicyTest : public ::testing::Test {
 
   JobId submit(int cpus, SimTime runtime, SimTime req_time, SimTime submit_time = 0,
                MalleabilityClass cls = MalleabilityClass::Malleable) {
-    const JobId id = jobs_.add(spec_of(submit_time, runtime, req_time, cpus, 48, cls));
+    const JobId id = cluster_.jobs.add(spec_of(submit_time, runtime, req_time, cpus, 48, cls));
     sched_.on_submit(id);
     return id;
   }
 
-  Machine machine_;
-  JobRegistry jobs_;
-  DromRegistry drom_;
-  NodeManager mgr_;
+  TestCluster cluster_;
   RecordingExecutor executor_;
   SdPolicyScheduler sched_;
 };
@@ -71,12 +71,12 @@ TEST_F(SdPolicyTest, MalleableStartWhenWaitExceedsIncrease) {
   sched_.schedule_pass(10);
   EXPECT_EQ(executor_.guest_starts, (std::vector<JobId>{b}));
   EXPECT_EQ(sched_.malleable_starts(), 1u);
-  const Job& guest = jobs_.at(b);
+  const Job& guest = cluster_.jobs.at(b);
   EXPECT_TRUE(guest.started_as_guest);
   ASSERT_EQ(guest.mates.size(), 1u);
   EXPECT_EQ(guest.mates[0], a1);  // equal penalties: lowest id wins
   // update_stats: mate's predicted end stretched by its increase.
-  EXPECT_GT(jobs_.at(a1).predicted_increase, 0);
+  EXPECT_GT(cluster_.jobs.at(a1).predicted_increase, 0);
 }
 
 TEST_F(SdPolicyTest, OversizedMatesAreIneligible) {
@@ -147,7 +147,7 @@ TEST_F(SdPolicyTest, SecondGuestCannotStackOnSameMate) {
   executor_.now = 10;
   sched_.schedule_pass(10);
   ASSERT_EQ(executor_.guest_starts, (std::vector<JobId>{b}));
-  EXPECT_EQ(jobs_.at(b).mates, (std::vector<JobId>{mate}));
+  EXPECT_EQ(cluster_.jobs.at(b).mates, (std::vector<JobId>{mate}));
   // A second short job: the only eligible mate already hosts a guest
   // (default max_jobs_per_node = 2), and the guest itself is ineligible.
   const JobId c = submit(96, 60, 60, 20);
@@ -174,13 +174,14 @@ TEST_F(SdPolicyTest, MalleabilityTriedInPriorityOrder) {
 TEST_F(SdPolicyTest, StaticCutoffBlocksHighPenaltyPlans) {
   SdConfig strict;
   strict.cutoff = CutoffConfig::max_sd(1.05);  // mates must be near-unharmed
-  SdPolicyScheduler tight(machine_, jobs_, executor_, SchedConfig{}, strict);
-  const JobId a = jobs_.add(spec_of(0, 100000, 100000, 96, 48));
+  SdPolicyScheduler tight(cluster_.machine, cluster_.jobs, executor_, SchedConfig{}, strict);
+  tight.set_cluster_index(&cluster_.index);
+  const JobId a = cluster_.jobs.add(spec_of(0, 100000, 100000, 96, 48));
   tight.on_submit(a);
-  const JobId a2 = jobs_.add(spec_of(0, 100000, 100000, 96, 48));
+  const JobId a2 = cluster_.jobs.add(spec_of(0, 100000, 100000, 96, 48));
   tight.on_submit(a2);
   tight.schedule_pass(0);
-  const JobId b = jobs_.add(spec_of(10, 5000, 5000, 96, 48));
+  const JobId b = cluster_.jobs.add(spec_of(10, 5000, 5000, 96, 48));
   tight.on_submit(b);
   executor_.now = 10;
   tight.schedule_pass(10);
@@ -202,16 +203,23 @@ TEST_F(SdPolicyTest, DynAvgSdIsConservativeOnLoneMate) {
   // exceeds it: DynAVGSD refuses — the §3.2.2 "spread the slowdown" rule.
   SdConfig dynamic;
   dynamic.cutoff = CutoffConfig::dynamic_avg();
-  SdPolicyScheduler dyn(machine_, jobs_, executor_, SchedConfig{}, dynamic);
-  const JobId a = jobs_.add(spec_of(0, 10000, 10000, 192, 48));
+  SdPolicyScheduler dyn(cluster_.machine, cluster_.jobs, executor_, SchedConfig{}, dynamic);
+  dyn.set_cluster_index(&cluster_.index);
+  const JobId a = cluster_.jobs.add(spec_of(0, 10000, 10000, 192, 48));
   dyn.on_submit(a);
   dyn.schedule_pass(0);
-  const JobId b = jobs_.add(spec_of(10, 60, 60, 96, 48));
+  const JobId b = cluster_.jobs.add(spec_of(10, 60, 60, 96, 48));
   dyn.on_submit(b);
   executor_.now = 10;
   dyn.schedule_pass(10);
   EXPECT_TRUE(executor_.guest_starts.empty());
   EXPECT_TRUE(dyn.queue().contains(b));
+}
+
+TEST_F(SdPolicyTest, PassWithoutClusterIndexThrows) {
+  SdPolicyScheduler unwired(cluster_.machine, cluster_.jobs, executor_, SchedConfig{},
+                            permissive());
+  EXPECT_THROW(unwired.schedule_pass(0), std::logic_error);
 }
 
 }  // namespace

@@ -2,15 +2,20 @@
 // against brute-force oracles under randomized inputs.
 //
 //  * ReservationProfile vs a naive per-second availability array;
-//  * MateSelector's branch-and-bound vs exhaustive combination search.
+//  * MateSelector — registry-backed candidate walk plus branch-and-bound —
+//    vs an exhaustive combination search over the whole job table, on
+//    random populations and over a churned lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
+#include <string>
 
+#include "../sched/scheduler_test_harness.h"
 #include "core/mate_selector.h"
-#include "drom/node_manager.h"
 #include "sched/reservation.h"
 #include "util/rng.h"
 
@@ -91,77 +96,129 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReservationOracle,
 // MateSelector oracle
 // ---------------------------------------------------------------------------
 
-struct SelectorWorld {
-  explicit SelectorWorld(int nodes)
-      : machine(make_machine(nodes)), mgr(machine, jobs, drom) {}
+using testing_support::TestCluster;
 
-  static MachineConfig make_machine(int nodes) {
-    MachineConfig config;
-    config.nodes = nodes;
-    config.node = NodeConfig{2, 24};
-    return config;
-  }
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  JobId run_job(int node_count, SimTime submit, SimTime start, SimTime req) {
-    JobSpec spec;
-    spec.submit = submit;
-    spec.req_time = req;
-    spec.base_runtime = req;
-    spec.req_cpus = node_count * 48;
-    spec.req_nodes = node_count;
-    const JobId id = jobs.add(spec);
-    Job& job = jobs.at(id);
-    job.state = JobState::Running;
-    job.start_time = start;
-    job.predicted_end = start + req;
-    mgr.start_static(start, id, *machine.find_free_nodes(node_count));
-    return id;
-  }
+MachineConfig selector_machine(int nodes) {
+  MachineConfig config;
+  config.nodes = nodes;
+  config.node = NodeConfig{2, 24};
+  return config;
+}
 
-  Machine machine;
-  JobRegistry jobs;
-  DromRegistry drom;
-  NodeManager mgr;
-};
+/// A running whole-node job of `node_count` nodes, started at `start`.
+JobId run_job(TestCluster& cluster, int node_count, SimTime submit, SimTime start,
+              SimTime req) {
+  JobSpec spec;
+  spec.submit = submit;
+  spec.req_time = req;
+  spec.base_runtime = req;
+  spec.req_cpus = node_count * cluster.machine.cores_per_node();
+  spec.req_nodes = node_count;
+  const JobId id = cluster.jobs.add(spec);
+  cluster.start_static(id, *cluster.machine.find_free_nodes(node_count), start);
+  return id;
+}
 
-/// Exhaustive minimum-PI search (m <= 2) with the same penalty math: mate
-/// penalty = (wait + (1-sf)*D + req)/req where D = req_guest / sf, for
-/// full-node uniform mates (the world this test constructs).
-double brute_force_best_pi(const SelectorWorld& world, const Job& guest, SimTime now,
-                           double sharing_factor) {
-  const auto d = static_cast<double>(guest.spec.req_time) / sharing_factor;
-  const SimTime mall_end = now + static_cast<SimTime>(std::ceil(d));
-  std::vector<const Job*> mates;
-  for (const auto& job : world.jobs) {
-    if (job.running() && !job.started_as_guest && job.guests.empty() &&
-        job.spec.req_nodes <= guest.spec.req_nodes && job.predicted_end >= mall_end) {
-      mates.push_back(&job);
-    }
-  }
-  const auto penalty = [&](const Job& mate) {
-    const auto req = static_cast<double>(mate.spec.req_time);
-    const double increase = (1.0 - sharing_factor) * d;
-    return (static_cast<double>(mate.wait_time(now)) + std::ceil(increase) + req) / req;
-  };
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < mates.size(); ++i) {
-    if (mates[i]->spec.req_nodes == guest.spec.req_nodes) {
-      best = std::min(best, penalty(*mates[i]));
-    }
-    for (std::size_t j = i + 1; j < mates.size(); ++j) {
-      if (mates[i]->spec.req_nodes + mates[j]->spec.req_nodes == guest.spec.req_nodes) {
-        best = std::min(best, penalty(*mates[i]) + penalty(*mates[j]));
+/// A selector over `cluster`'s registry and index — the production wiring.
+MateSelector wired_selector(const TestCluster& cluster, const SdConfig& sd) {
+  MateSelector selector(cluster.machine, cluster.jobs, cluster.mates, sd);
+  selector.set_cluster_index(&cluster.index);
+  return selector;
+}
+
+/// The brute-force oracle: exhaustive minimum-PI search (m <= 2) over the
+/// WHOLE job table — the scan the MateRegistry replaced — with the same
+/// penalty math: mate penalty = (wait + (1-sf)*D + req)/req where
+/// D = req_guest / sf, for mates holding whole nodes exclusively (every
+/// eligible mate in the worlds these tests build: static starts take whole
+/// nodes, and a mate hosting a guest is ineligible). Mates at or above
+/// `max_slowdown` are filtered as Eq. 2 requires.
+class BruteForceMates {
+ public:
+  BruteForceMates(const TestCluster& cluster, const Job& guest, SimTime now,
+                  double sharing_factor, double max_slowdown)
+      : now_(now),
+        sharing_factor_(sharing_factor),
+        d_(static_cast<double>(guest.spec.req_time) / sharing_factor) {
+    const SimTime mall_end = now + static_cast<SimTime>(std::ceil(d_));
+    for (const auto& job : cluster.jobs) {
+      if (job.running() && job.can_be_mate() && !job.started_as_guest &&
+          job.guests.empty() && job.spec.req_nodes <= guest.spec.req_nodes &&
+          job.predicted_end >= mall_end && penalty(job) < max_slowdown) {
+        mates_.push_back(&job);
       }
     }
   }
-  return best;
+
+  /// Eq. 4 for `mate` under this guest.
+  [[nodiscard]] double penalty(const Job& mate) const {
+    const auto req = static_cast<double>(mate.spec.req_time);
+    const double increase = (1.0 - sharing_factor_) * d_;
+    return (static_cast<double>(mate.wait_time(now_)) + std::ceil(increase) + req) / req;
+  }
+
+  [[nodiscard]] bool eligible(JobId id) const {
+    return std::any_of(mates_.begin(), mates_.end(),
+                       [id](const Job* job) { return job->spec.id == id; });
+  }
+
+  /// Minimum Performance Impact over every 1- and 2-mate combination whose
+  /// weights sum to the guest's node count; infinity when none exists.
+  [[nodiscard]] double best_pi(int guest_nodes) const {
+    double best = kInf;
+    for (std::size_t i = 0; i < mates_.size(); ++i) {
+      if (mates_[i]->spec.req_nodes == guest_nodes) {
+        best = std::min(best, penalty(*mates_[i]));
+      }
+      for (std::size_t j = i + 1; j < mates_.size(); ++j) {
+        if (mates_[i]->spec.req_nodes + mates_[j]->spec.req_nodes == guest_nodes) {
+          best = std::min(best, penalty(*mates_[i]) + penalty(*mates_[j]));
+        }
+      }
+    }
+    return best;
+  }
+
+ private:
+  SimTime now_;
+  double sharing_factor_;
+  double d_;
+  std::vector<const Job*> mates_;
+};
+
+/// `plan` must be exactly what the oracle allows: present iff a feasible
+/// combination exists, at the oracle's minimum PI, built only from
+/// oracle-eligible mates whose weights cover the guest and whose penalties
+/// sum to the reported PI.
+void expect_plan_matches_oracle(const TestCluster& cluster, const Job& guest, SimTime now,
+                                double max_slowdown, const std::optional<MatePlan>& plan,
+                                double sharing_factor) {
+  const BruteForceMates oracle(cluster, guest, now, sharing_factor, max_slowdown);
+  const double brute = oracle.best_pi(guest.spec.req_nodes);
+  if (std::isinf(brute)) {
+    EXPECT_FALSE(plan.has_value());
+    return;
+  }
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_NEAR(plan->performance_impact, brute, brute * 1e-9);
+  int weight = 0;
+  double penalties = 0.0;
+  for (const JobId mate : plan->mates) {
+    EXPECT_TRUE(oracle.eligible(mate)) << "plan uses ineligible mate " << mate;
+    weight += cluster.jobs.at(mate).spec.req_nodes;
+    penalties += oracle.penalty(cluster.jobs.at(mate));
+  }
+  EXPECT_EQ(weight, guest.spec.req_nodes);
+  EXPECT_NEAR(penalties, plan->performance_impact, brute * 1e-9);
 }
 
 class SelectorOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SelectorOracle, BranchAndBoundMatchesBruteForce) {
   Rng rng(GetParam());
-  SelectorWorld world(24);
+  TestCluster cluster(selector_machine(24));
 
   // Random running population: 6-10 jobs of 1-3 nodes with varied waits.
   const int population = static_cast<int>(rng.uniform_int(6, 10));
@@ -170,8 +227,8 @@ TEST_P(SelectorOracle, BranchAndBoundMatchesBruteForce) {
     const auto submit = static_cast<SimTime>(rng.uniform_int(0, 500));
     const auto start = submit + static_cast<SimTime>(rng.uniform_int(0, 2000));
     const auto req = static_cast<SimTime>(rng.uniform_int(50000, 200000));
-    if (world.machine.free_node_count() >= nodes) {
-      world.run_job(nodes, submit, start, req);
+    if (cluster.machine.free_node_count() >= nodes) {
+      run_job(cluster, nodes, submit, start, req);
     }
   }
 
@@ -181,23 +238,89 @@ TEST_P(SelectorOracle, BranchAndBoundMatchesBruteForce) {
   guest_spec.req_time = static_cast<SimTime>(rng.uniform_int(100, 2000));
   guest_spec.base_runtime = guest_spec.req_time;
   guest_spec.submit = 2600;
-  const JobId guest_id = world.jobs.add(guest_spec);
-  const Job& guest = world.jobs.at(guest_id);
+  const JobId guest_id = cluster.jobs.add(guest_spec);
+  const Job& guest = cluster.jobs.at(guest_id);
 
   SdConfig sd;
   sd.cutoff = CutoffConfig::infinite();
-  MateSelector selector(world.machine, world.jobs, sd);
+  const MateSelector selector = wired_selector(cluster, sd);
   const SimTime now = 2600;
-  const auto plan =
-      selector.select(guest, now, std::numeric_limits<double>::infinity());
-  const double brute = brute_force_best_pi(world, guest, now, sd.sharing_factor);
+  expect_plan_matches_oracle(cluster, guest, now, kInf, selector.select(guest, now, kInf),
+                             sd.sharing_factor);
+}
 
-  if (std::isinf(brute)) {
-    EXPECT_FALSE(plan.has_value());
-  } else {
-    ASSERT_TRUE(plan.has_value());
-    EXPECT_NEAR(plan->performance_impact, brute, brute * 1e-6);
+// The registry-backed selector against the oracle over a churned
+// lifecycle: static starts (some rigid), finishes and guest starts applied
+// from the selector's own plans, so the registry, the index and the budget
+// cache all move under it. After every step, probe guests of several
+// shapes under two cut-offs must get exactly the oracle's optimum.
+TEST_P(SelectorOracle, RegistryPlansMatchBruteForceOverChurn) {
+  Rng rng(GetParam());
+  MachineConfig mc;
+  mc.nodes = 12;
+  mc.node = NodeConfig{2, 4};
+  TestCluster cluster(mc);
+  const int cores = cluster.machine.cores_per_node();
+  SdConfig sd;
+  const MateSelector selector = wired_selector(cluster, sd);
+
+  const auto add_pending = [&](SimTime now, int req_nodes, SimTime req_time) {
+    JobSpec spec;
+    spec.submit = now;
+    spec.req_time = req_time;
+    spec.base_runtime = req_time;
+    spec.req_cpus = req_nodes * cores;
+    spec.req_nodes = req_nodes;
+    return cluster.jobs.add(spec);
+  };
+
+  std::vector<JobId> running;
+  SimTime now = 0;
+  std::string diag;
+  int plans = 0;
+  for (int step = 0; step < 150; ++step) {
+    now += rng.uniform_int(0, 14);
+    const auto op = rng.uniform_int(0, 9);
+    if (op < 5) {
+      const int want = static_cast<int>(rng.uniform_int(1, 3));
+      if (const auto nodes = cluster.machine.find_free_nodes(want)) {
+        const JobId id = add_pending(now, want, rng.uniform_int(50, 550));
+        if (rng.uniform_int(0, 3) == 0) {
+          cluster.jobs.at(id).spec.malleability = MalleabilityClass::Rigid;
+        }
+        cluster.start_static(id, *nodes, now);
+        running.push_back(id);
+      }
+    } else if (op < 7 && !running.empty()) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1));
+      cluster.finish(running[pick], now);
+      running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (!running.empty()) {
+      const JobId guest = add_pending(now, static_cast<int>(rng.uniform_int(1, 2)),
+                                      rng.uniform_int(20, 80));
+      if (const auto plan = selector.select(cluster.jobs.at(guest), now, kInf)) {
+        cluster.start_guest(guest, *plan, now);
+        running.push_back(guest);
+      }
+    }
+    ASSERT_TRUE(cluster.mates.check_consistent(cluster.jobs, &diag))
+        << "step " << step << ": " << diag;
+    ASSERT_TRUE(cluster.index.check_consistent(&diag)) << "step " << step << ": " << diag;
+
+    for (const int req_nodes : {1, 2, 3}) {
+      const JobId probe = add_pending(now, req_nodes, 30);
+      const Job& guest = cluster.jobs.at(probe);
+      for (const double cutoff : {kInf, 5.0}) {
+        const auto plan = selector.select(guest, now, cutoff);
+        SCOPED_TRACE(testing::Message() << "step " << step << " req_nodes " << req_nodes
+                                        << " cutoff " << cutoff);
+        expect_plan_matches_oracle(cluster, guest, now, cutoff, plan, sd.sharing_factor);
+        if (plan) ++plans;
+      }
+    }
   }
+  EXPECT_GT(plans, 0);  // the walk actually produced plans to compare
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SelectorOracle,
@@ -209,10 +332,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SelectorOracle,
 
 TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
   Rng rng(1234);
-  SelectorWorld world(16);
+  TestCluster cluster(selector_machine(16));
   SdConfig sd;
   sd.cutoff = CutoffConfig::infinite();
-  MateSelector selector(world.machine, world.jobs, sd);
+  const MateSelector selector = wired_selector(cluster, sd);
 
   std::vector<JobId> running;
   SimTime now = 0;
@@ -222,8 +345,8 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
     if (action <= 1) {
       // Try to start a job: statically if room, else as a guest.
       const int nodes = static_cast<int>(rng.uniform_int(1, 3));
-      if (world.machine.free_node_count() >= nodes) {
-        running.push_back(world.run_job(nodes, now, now, rng.uniform_int(5000, 50000)));
+      if (cluster.machine.free_node_count() >= nodes) {
+        running.push_back(run_job(cluster, nodes, now, now, rng.uniform_int(5000, 50000)));
       } else {
         JobSpec spec;
         spec.req_nodes = nodes;
@@ -231,19 +354,10 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
         spec.req_time = rng.uniform_int(100, 1000);
         spec.base_runtime = spec.req_time;
         spec.submit = now;
-        const JobId id = world.jobs.add(spec);
-        const auto plan = selector.select(world.jobs.at(id), now,
-                                          std::numeric_limits<double>::infinity());
+        const JobId id = cluster.jobs.add(spec);
+        const auto plan = selector.select(cluster.jobs.at(id), now, kInf);
         if (plan) {
-          Job& guest = world.jobs.at(id);
-          guest.state = JobState::Running;
-          guest.start_time = now;
-          guest.predicted_end = now + plan->guest_duration;
-          for (std::size_t i = 0; i < plan->mates.size(); ++i) {
-            Job& mate = world.jobs.at(plan->mates[i]);
-            mate.predicted_end += plan->mate_increases[i];
-          }
-          world.mgr.start_guest(now, id, plan->nodes);
+          cluster.start_guest(id, *plan, now);
           running.push_back(id);
         }
       }
@@ -252,35 +366,30 @@ TEST(NodeManagerChurn, NoCoreLeaksAcrossRandomStartsAndFinishes) {
           rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1));
       const JobId id = running[victim];
       running.erase(running.begin() + victim);
-      world.jobs.at(id).state = JobState::Completed;
-      world.jobs.at(id).end_time = now;
-      world.mgr.finish_job(now, id);
+      cluster.finish(id, now);
     }
 
     // Invariants after every step.
     int share_total = 0;
-    for (const auto& job : world.jobs) {
+    for (const auto& job : cluster.jobs) {
       for (const auto& share : job.shares) {
         ASSERT_GE(share.cpus, 1);
-        const auto occ = world.machine.node(share.node).occupant(job.spec.id);
+        const auto occ = cluster.machine.node(share.node).occupant(job.spec.id);
         ASSERT_TRUE(occ.has_value()) << "job/machine share mismatch";
         ASSERT_EQ(occ->cpus, share.cpus);
         share_total += share.cpus;
       }
     }
-    ASSERT_EQ(share_total, world.machine.busy_cores());
-    for (int n = 0; n < world.machine.node_count(); ++n) {
-      ASSERT_LE(world.machine.node(n).used_cores(), world.machine.node(n).total_cores());
+    ASSERT_EQ(share_total, cluster.machine.busy_cores());
+    for (int n = 0; n < cluster.machine.node_count(); ++n) {
+      ASSERT_LE(cluster.machine.node(n).used_cores(), cluster.machine.node(n).total_cores());
     }
   }
 
   // Drain everything; the machine must come back empty.
-  for (const JobId id : running) {
-    world.jobs.at(id).state = JobState::Completed;
-    world.mgr.finish_job(now + 1, id);
-  }
-  EXPECT_EQ(world.machine.busy_cores(), 0);
-  EXPECT_EQ(world.machine.free_node_count(), 16);
+  for (const JobId id : running) cluster.finish(id, now + 1);
+  EXPECT_EQ(cluster.machine.busy_cores(), 0);
+  EXPECT_EQ(cluster.machine.free_node_count(), 16);
 }
 
 }  // namespace

@@ -2,23 +2,25 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster_state_index.h"
+#include <stdexcept>
+
 #include "scheduler_test_harness.h"
 
 namespace sdsched {
 namespace {
 
 using testing_support::RecordingExecutor;
-using testing_support::finish;
+using testing_support::TestCluster;
 using testing_support::spec_of;
 
 class BackfillTest : public ::testing::Test {
  protected:
   explicit BackfillTest(SchedConfig config = {})
-      : machine_(make_config()),
-        mgr_(machine_, jobs_, drom_),
-        executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, config) {}
+      : cluster_(make_config()),
+        executor_(cluster_),
+        sched_(cluster_.machine, cluster_.jobs, executor_, config) {
+    sched_.set_cluster_index(&cluster_.index);
+  }
 
   static MachineConfig make_config() {
     MachineConfig config;
@@ -28,15 +30,12 @@ class BackfillTest : public ::testing::Test {
   }
 
   JobId submit(int cpus, SimTime runtime, SimTime req_time, SimTime submit_time = 0) {
-    const JobId id = jobs_.add(spec_of(submit_time, runtime, req_time, cpus, 48));
+    const JobId id = cluster_.jobs.add(spec_of(submit_time, runtime, req_time, cpus, 48));
     sched_.on_submit(id);
     return id;
   }
 
-  Machine machine_;
-  JobRegistry jobs_;
-  DromRegistry drom_;
-  NodeManager mgr_;
+  TestCluster cluster_;
   RecordingExecutor executor_;
   BackfillScheduler sched_;
 };
@@ -74,7 +73,7 @@ TEST_F(BackfillTest, ReservationHonoursPredictedEnds) {
   sched_.schedule_pass(0);
   EXPECT_TRUE(sched_.queue().contains(b));
   // A finishes early; the pass at that moment starts B immediately.
-  finish(jobs_, mgr_, a, 80);
+  cluster_.finish(a, 80);
   executor_.now = 80;
   sched_.schedule_pass(80);
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, b}));
@@ -89,7 +88,7 @@ TEST_F(BackfillTest, PriorityOrderPreservedAmongEqualJobs) {
   EXPECT_TRUE(sched_.queue().contains(b));
   EXPECT_TRUE(sched_.queue().contains(c));
   // Both fit once the big job ends; starts must follow submit order.
-  finish(jobs_, mgr_, a, 100);
+  cluster_.finish(a, 100);
   executor_.now = 100;
   sched_.schedule_pass(100);
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, b, c}));
@@ -109,25 +108,25 @@ TEST_F(BackfillTest, SharedNodeFreesAtLastOccupant) {
   const JobId a = submit(96, 200, 200);
   sched_.schedule_pass(0);
   // Manually co-schedule a guest with a longer predicted end on node 0.
-  const JobId g = jobs_.add(spec_of(0, 300, 300, 48, 48));
-  Job& guest = jobs_.at(g);
+  const JobId g = cluster_.jobs.add(spec_of(0, 300, 300, 48, 48));
+  Job& guest = cluster_.jobs.at(g);
   guest.state = JobState::Running;
   guest.start_time = 0;
   guest.predicted_end = 300;
-  machine_.resize_share(0, a, 0, 24);
-  jobs_.at(a).shares[0].cpus = 24;
-  machine_.add_share(0, g, 0, 24, false);
+  cluster_.machine.resize_share(0, a, 0, 24);
+  cluster_.jobs.at(a).shares[0].cpus = 24;
+  cluster_.machine.add_share(0, g, 0, 24, false);
   guest.shares.push_back({0, 24, 48});
 
   // A 4-node job can only be predicted to start when node 0 clears at 300.
   const JobId big = submit(192, 10, 10);
   sched_.schedule_pass(0);
   EXPECT_TRUE(sched_.queue().contains(big));
-  finish(jobs_, mgr_, a, 200);
+  cluster_.finish(a, 200);
   executor_.now = 200;
   sched_.schedule_pass(200);
   EXPECT_TRUE(sched_.queue().contains(big));  // node 0 still held by guest
-  finish(jobs_, mgr_, g, 300);
+  cluster_.finish(g, 300);
   executor_.now = 300;
   sched_.schedule_pass(300);
   EXPECT_FALSE(sched_.queue().contains(big));
@@ -162,20 +161,18 @@ TEST_F(EasyBackfillTest, DepthOneOnlyProtectsHead) {
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, d}));
 }
 
-// Constraint-class-aware estimates: with a cluster index attached, a
-// constrained job whose eligible nodes are busy gets an exact earliest
-// start from the per-class profile layer (a reservation at the eligible
-// release) instead of the historical conservative hold-at-now — so
-// unconstrained work is no longer blocked behind it.
+// Constraint-class-aware estimates: a constrained job whose eligible nodes
+// are busy gets an exact earliest start from the per-class profile layer (a
+// reservation at the eligible release) instead of the historical
+// conservative hold-at-now — so unconstrained work is no longer blocked
+// behind it.
 class ConstrainedBackfillTest : public ::testing::Test {
  protected:
   ConstrainedBackfillTest()
-      : machine_(make_config()),
-        index_(machine_, jobs_),
-        mgr_(machine_, jobs_, drom_),
-        executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, SchedConfig{}) {
-    sched_.set_cluster_index(&index_);
+      : cluster_(make_config()),
+        executor_(cluster_),
+        sched_(cluster_.machine, cluster_.jobs, executor_, SchedConfig{}) {
+    sched_.set_cluster_index(&cluster_.index);
   }
 
   static MachineConfig make_config() {
@@ -192,16 +189,12 @@ class ConstrainedBackfillTest : public ::testing::Test {
   JobId submit(int cpus, SimTime req_time, int min_memory_gb = 0, SimTime submit_time = 0) {
     JobSpec spec = spec_of(submit_time, req_time, req_time, cpus, 48);
     spec.constraints.min_memory_gb = min_memory_gb;
-    const JobId id = jobs_.add(spec);
+    const JobId id = cluster_.jobs.add(spec);
     sched_.on_submit(id);
     return id;
   }
 
-  Machine machine_;
-  JobRegistry jobs_;
-  ClusterStateIndex index_;
-  DromRegistry drom_;
-  NodeManager mgr_;
+  TestCluster cluster_;
   RecordingExecutor executor_;
   BackfillScheduler sched_;
 };
@@ -211,7 +204,7 @@ TEST_F(ConstrainedBackfillTest, ClassLayerReplacesHoldAndRetry) {
   const JobId a = submit(96, 100, /*min_memory_gb=*/128);
   sched_.schedule_pass(0);
   ASSERT_EQ(executor_.static_starts, (std::vector<JobId>{a}));
-  EXPECT_EQ(jobs_.at(a).shares[0].node, 2);
+  EXPECT_EQ(cluster_.jobs.at(a).shares[0].node, 2);
   EXPECT_GT(sched_.class_layer_builds(), 0u);
 
   // B (highmem, 2 nodes): the class-blind profile sees 2 free nodes *now*,
@@ -228,12 +221,12 @@ TEST_F(ConstrainedBackfillTest, ClassLayerReplacesHoldAndRetry) {
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, c}));
 
   // A finishes: B starts on the released highmem nodes.
-  finish(jobs_, mgr_, a, 100);
+  cluster_.finish(a, 100);
   sched_.on_finish(a);
   executor_.now = 100;
   sched_.schedule_pass(100);
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, c, b}));
-  EXPECT_EQ(jobs_.at(b).shares[0].node, 2);
+  EXPECT_EQ(cluster_.jobs.at(b).shares[0].node, 2);
 }
 
 TEST_F(ConstrainedBackfillTest, ClassLayerDoesNotDelayEligibleStarts) {
@@ -255,21 +248,32 @@ TEST_F(ConstrainedBackfillTest, SamePassStartsAreNotDoubleCountedByTheLayer) {
   const JobId b = submit(96, 100, /*min_memory_gb=*/128);
   sched_.schedule_pass(0);
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{x, b}));
-  EXPECT_EQ(jobs_.at(b).shares[0].node, 2);
+  EXPECT_EQ(cluster_.jobs.at(b).shares[0].node, 2);
 }
 
 TEST_F(BackfillTest, ExaminationBudgetBoundsPassWork) {
   SchedConfig tight;
   tight.bf_max_jobs = 1;
-  BackfillScheduler limited(machine_, jobs_, executor_, tight);
-  const JobId a = jobs_.add(spec_of(0, 100, 100, 192, 48));
+  BackfillScheduler limited(cluster_.machine, cluster_.jobs, executor_, tight);
+  limited.set_cluster_index(&cluster_.index);
+  const JobId a = cluster_.jobs.add(spec_of(0, 100, 100, 192, 48));
   limited.on_submit(a);
-  const JobId b = jobs_.add(spec_of(0, 10, 10, 48, 48));
+  const JobId b = cluster_.jobs.add(spec_of(0, 10, 10, 48, 48));
   limited.on_submit(b);
   limited.schedule_pass(0);
   // Only the first queued job is examined; b stays even though it fits.
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a}));
   EXPECT_TRUE(limited.queue().contains(b));
+}
+
+// The cluster index is a precondition of every pass, not an optional
+// accelerator: a scheduler nobody attached one to refuses to run.
+TEST_F(BackfillTest, PassWithoutClusterIndexThrows) {
+  BackfillScheduler unwired(cluster_.machine, cluster_.jobs, executor_, SchedConfig{});
+  const JobId a = cluster_.jobs.add(spec_of(0, 100, 100, 48, 48));
+  unwired.on_submit(a);
+  EXPECT_THROW(unwired.schedule_pass(0), std::logic_error);
+  EXPECT_TRUE(executor_.static_starts.empty());
 }
 
 }  // namespace

@@ -8,16 +8,17 @@ namespace sdsched {
 namespace {
 
 using testing_support::RecordingExecutor;
-using testing_support::finish;
+using testing_support::TestCluster;
 using testing_support::spec_of;
 
 class FcfsTest : public ::testing::Test {
  protected:
   FcfsTest()
-      : machine_(make_config()),
-        mgr_(machine_, jobs_, drom_),
-        executor_(machine_, jobs_, mgr_),
-        sched_(machine_, jobs_, executor_, SchedConfig{}) {}
+      : cluster_(make_config()),
+        executor_(cluster_),
+        sched_(cluster_.machine, cluster_.jobs, executor_, SchedConfig{}) {
+    sched_.set_cluster_index(&cluster_.index);
+  }
 
   static MachineConfig make_config() {
     MachineConfig config;
@@ -27,15 +28,12 @@ class FcfsTest : public ::testing::Test {
   }
 
   JobId submit(int cpus, SimTime submit_time = 0, SimTime runtime = 100) {
-    const JobId id = jobs_.add(spec_of(submit_time, runtime, runtime, cpus, 48));
+    const JobId id = cluster_.jobs.add(spec_of(submit_time, runtime, runtime, cpus, 48));
     sched_.on_submit(id);
     return id;
   }
 
-  Machine machine_;
-  JobRegistry jobs_;
-  DromRegistry drom_;
-  NodeManager mgr_;
+  TestCluster cluster_;
   RecordingExecutor executor_;
   FcfsScheduler sched_;
 };
@@ -64,7 +62,7 @@ TEST_F(FcfsTest, HeadStartsAfterRelease) {
   const JobId b = submit(192);
   sched_.schedule_pass(0);
   EXPECT_TRUE(sched_.queue().contains(b));
-  finish(jobs_, mgr_, a, 100);
+  cluster_.finish(a, 100);
   executor_.now = 100;
   sched_.schedule_pass(100);
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a, b}));

@@ -235,5 +235,68 @@ TEST(SwfStream, MalformedRowThrowsLikeReference) {
   EXPECT_THROW(read_swf(in, SwfReadOptions{}, 4), std::runtime_error);
 }
 
+/// The error a reader raises on `text`, or "" when it accepts it.
+template <typename Read>
+std::string error_of(const std::string& text, Read read) {
+  std::istringstream in(text);
+  try {
+    (void)read(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Malformed rows: a 20-digit run time (past long long — istream extraction
+// fails on it, so the streaming scan must too instead of wrapping) and a
+// non-numeric token. At every chunk size both readers reject the row with
+// the same message, naming the field and the token that stopped the scan.
+TEST(SwfStream, MalformedRowsRejectedIdenticallyAtEveryChunkSize) {
+  const std::string good = "1 0 -1 100 8 -1 -1 8 200 -1 1 5 -1 -1 -1 -1 -1 -1\n";
+  const struct {
+    std::string row;
+    std::string field_and_token;
+  } cases[] = {
+      {"2 9 -1 99999999999999999999 8 -1 -1 8 200 -1 1 5 -1 -1 -1 -1 -1 -1\n",
+       "SWF line 2: field 4: cannot parse '99999999999999999999'"},
+      {"2 9 -1 100 n/a -1 -1 8 200 -1 1 5 -1 -1 -1 -1 -1 -1\n",
+       "SWF line 2: field 5: cannot parse 'n/a'"},
+  };
+  for (const auto& c : cases) {
+    const std::string text = good + c.row + good;
+    const std::string want =
+        error_of(text, [](std::istream& in) { return read_swf_reference(in); });
+    EXPECT_EQ(want.rfind(c.field_and_token, 0), 0u) << want;
+    for (std::size_t chunk = 1; chunk <= text.size() + 7; ++chunk) {
+      const std::string got = error_of(
+          text, [chunk](std::istream& in) { return read_swf(in, SwfReadOptions{}, chunk); });
+      ASSERT_EQ(got, want) << "chunk size " << chunk;
+    }
+  }
+}
+
+// Past the 11 required fields a bad token only ends the row's scan, in
+// both readers alike: an overflowing trailing field reads as 0, not as the
+// clamped limit istream stores on overflow. An overflowing header value is
+// no header in either reader.
+TEST(SwfStream, OverflowInOptionalFieldParsesIdentically) {
+  const std::string text =
+      "; MaxNodes: 99999999999999999999\n"
+      "1 0 -1 100 8 -1 -1 8 200 -1 1 99999999999999999999 -1 -1 -1 -1 -1 -1\n"
+      "2 5 -1 100 8 -1 -1 8 200 -1 1 -99999999999999999999\n"
+      "3 6 -1 100 8 -1 -1 8 200 -1 1 -9223372036854775808\n";
+  std::istringstream reference_in(text);
+  const Workload reference = read_swf_reference(reference_in);
+  ASSERT_EQ(reference.size(), 3u);
+  EXPECT_EQ(reference.info().system_nodes, 0);
+  EXPECT_EQ(reference.jobs()[0].user_id, 0);
+  EXPECT_EQ(reference.jobs()[1].user_id, 0);
+  for (std::size_t chunk = 1; chunk <= text.size() + 2; ++chunk) {
+    std::istringstream in(text);
+    ASSERT_EQ(canonical(read_swf(in, SwfReadOptions{}, chunk)), canonical(reference))
+        << "chunk size " << chunk;
+  }
+}
+
 }  // namespace
 }  // namespace sdsched
