@@ -33,7 +33,7 @@ ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
   if (profile_valid_ && profile_version_ == cluster_index_->version() &&
       profile_.first_release_time() > now) {
     // Nothing changed since the last pass and no release crossed `now`:
-    // the base snapshot is still exact. Drop only the pass overlay.
+    // the base snapshot is still exact. Restore the working copy from it.
     profile_.clear_overlay();
     ++profile_reuses_;
     return profile_;
@@ -129,7 +129,7 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       const auto nodes = find_free_nodes(req_nodes, job.spec.constraints);
       if (nodes) {
         queue_.remove(id);
-        reserve_window(now, now + std::max<SimTime>(planned, 1), req_nodes,
+        reserve_window(now, ReservationProfile::window_end(now, planned), req_nodes,
                        /*occupancy_backed=*/true);
         executor_.start_static(id, *nodes);
         on_job_started(id);
@@ -146,7 +146,7 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       // per-class counts) and for machines past the 64-class mask limit.
       // Hold the nodes conservatively and retry next pass.
       if (reservations < config_.reservation_depth) {
-        reserve_window(now, now + std::max<SimTime>(planned, 1), req_nodes,
+        reserve_window(now, ReservationProfile::window_end(now, planned), req_nodes,
                        /*occupancy_backed=*/false);
         ++reservations;
       }
@@ -157,7 +157,7 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       continue;
     }
     if (reservations < config_.reservation_depth) {
-      reserve_window(est, est + std::max<SimTime>(planned, 1), req_nodes,
+      reserve_window(est, ReservationProfile::window_end(est, planned), req_nodes,
                      /*occupancy_backed=*/false);
       ++reservations;
     }

@@ -3,9 +3,9 @@
 //
 // Every pass refreshes the reservation profile — the base snapshot comes
 // from the ClusterStateIndex and is *reused* across passes while the
-// cluster is unchanged (O(1)); only the pass's own reservations (a small
-// overlay) are dropped and re-derived. The pass then walks the wait queue
-// in priority order:
+// cluster is unchanged; the flat working copy the previous pass reserved
+// into is restored from it, and the pass's own reservations are
+// re-derived. The pass then walks the wait queue in priority order:
 //   * a job whose earliest feasible start is *now* starts immediately;
 //   * otherwise the policy hook try_malleable() may co-schedule it
 //     (SD-Policy overrides this; the static baseline declines);
@@ -76,8 +76,8 @@ class BackfillScheduler : public Scheduler {
                              ReservationProfile& profile);
 
   /// The pass profile: base snapshot refreshed only when the cluster index
-  /// reports a change (or a release breakpoint crossed `now`), overlay
-  /// cleared.
+  /// reports a change (or a release breakpoint crossed `now`), working copy
+  /// restored from it.
   [[nodiscard]] ReservationProfile& pass_profile(SimTime now);
 
   /// The per-pass profile layer restricted to `constraints`' eligible

@@ -1,21 +1,27 @@
 // Node-availability profile ("map of jobs reservations in time", §3.1).
 //
-// A piecewise-constant step function of free whole nodes over time, split
-// into two layers so scheduling passes stop rebuilding the world:
+// A piecewise-constant step function of free whole nodes over time, kept as
+// a base snapshot plus one flat working copy so scheduling passes stop
+// rebuilding the world:
 //
-//  * a **base snapshot** — flat, sorted, cumulative free-count breakpoints
+//  * the **base snapshot** — flat, sorted, cumulative free-count steps
 //    describing the running jobs' predicted releases. Installed via
-//    set_base() from the ClusterStateIndex (or a full scan) and *reused*
-//    across passes while the cluster is unchanged;
-//  * a **pass overlay** — a small sorted delta vector holding only the
-//    reservations the current pass itself places (reserve()/release()).
-//    clear_overlay() is the per-pass undo log: O(overlay), not O(world).
+//    set_base() from the ClusterStateIndex and *reused* across passes while
+//    the cluster is unchanged;
+//  * the **working profile** — contiguous time / free-count arrays (a
+//    leading sentinel step covers everything before the first breakpoint)
+//    that the current pass edits in place with reserve()/release().
+//    clear_overlay() restores it from the base, a copy of the few hundred
+//    base steps, once per pass.
 //
-// Queries merge-walk both layers. Both the backfill baseline and the
-// SD-Policy's static_end estimate (Listing 1) read this profile.
+// Every query is one binary search plus one forward scan of the working
+// arrays. Both the backfill baseline and the SD-Policy's static_end
+// estimate (Listing 1) read this profile.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -25,21 +31,22 @@ namespace sdsched {
 
 class ReservationProfile {
  public:
-  ReservationProfile() = default;
+  ReservationProfile() : ReservationProfile(0) {}
 
   /// Profile with `capacity` nodes free everywhere (before carving).
-  explicit ReservationProfile(int capacity) noexcept : capacity_(capacity) {}
+  explicit ReservationProfile(int capacity) : capacity_(capacity) { clear_overlay(); }
 
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
 
   /// Install the base snapshot: `busy_groups` is an ascending (free_at,
   /// nodes) sequence meaning `nodes` nodes stay busy over [origin, free_at).
-  /// Every free_at must be > origin. Clears the overlay.
+  /// Every free_at must be > origin. Resets the working profile to it.
   void set_base(int capacity, SimTime origin,
                 const std::vector<std::pair<SimTime, int>>& busy_groups);
 
-  /// Drop the pass's own reservations, keeping the base snapshot.
-  void clear_overlay() noexcept { overlay_.clear(); }
+  /// Drop the pass's own reservations: the working profile becomes a copy
+  /// of the base snapshot again.
+  void clear_overlay();
 
   /// Remove `nodes` of availability over [start, end). end may be kForever.
   /// Callers reserve only what earliest_start() said was free.
@@ -61,11 +68,10 @@ class ReservationProfile {
   /// unless nodes > capacity, which returns kNever.
   [[nodiscard]] SimTime earliest_start(int nodes, SimTime duration, SimTime not_before) const;
 
-  /// Breakpoints currently held (base + overlay) — observability for the
-  /// scheduler microbench.
-  [[nodiscard]] std::size_t breakpoint_count() const noexcept {
-    return base_.size() + overlay_.size();
-  }
+  /// Steps in the working profile (base steps plus the breakpoints this
+  /// pass's reservations split off; the sentinel is not counted) —
+  /// observability for the benches.
+  [[nodiscard]] std::size_t breakpoint_count() const noexcept { return times_.size() - 1; }
 
   /// Earliest base release (kForever when the base is flat). A snapshot
   /// built at pass time t0 stays valid at a later pass time t1 only while
@@ -75,37 +81,39 @@ class ReservationProfile {
     return base_.size() > 1 ? base_[1].time : kForever;
   }
 
+  /// End of the window [start, start + max(duration, 1)), saturated at
+  /// kForever so a request near INT64_MAX reads as "never ends".
+  [[nodiscard]] static constexpr SimTime window_end(SimTime start, SimTime duration) noexcept {
+    duration = duration < 1 ? 1 : duration;
+    return start >= kForever - duration ? kForever : start + duration;
+  }
+
   static constexpr SimTime kForever = INT64_MAX / 4;
   static constexpr SimTime kNever = -1;
 
  private:
   struct Step {
     SimTime time;  ///< free count holds from this time until the next step
-    int free;      ///< base free nodes (before overlay deltas)
+    int free;      ///< base free nodes
   };
 
-  /// Base free count at time t (capacity before the first step).
-  [[nodiscard]] int base_free_at(SimTime t, std::size_t* step_index = nullptr) const;
+  static constexpr SimTime kSentinelTime = std::numeric_limits<SimTime>::min();
 
-  /// One sweep over the merged (base, overlay) step function. All three
-  /// queries share it: seed with sweep_at(t), then repeatedly take
-  /// next_breakpoint() (kForever when exhausted) and advance_to() it.
-  struct Sweep {
-    std::size_t bi = 0;   ///< next base step
-    std::size_t oi = 0;   ///< next overlay delta
-    int base_free = 0;
-    int overlay_sum = 0;
-    [[nodiscard]] int free() const noexcept { return base_free + overlay_sum; }
-  };
-  [[nodiscard]] Sweep sweep_at(SimTime t) const;
-  [[nodiscard]] SimTime next_breakpoint(const Sweep& sweep) const noexcept;
-  void advance_to(Sweep& sweep, SimTime t) const noexcept;
+  /// Index of the working step holding at time t (the last step <= t).
+  [[nodiscard]] std::size_t step_at(SimTime t) const noexcept;
 
-  void add_overlay_delta(SimTime start, SimTime end, int delta);
+  /// Make t a step boundary (splitting the step that holds there) and
+  /// return the index of the step starting at t.
+  std::size_t split_at(SimTime t);
+
+  void add_delta(SimTime start, SimTime end, int delta);
 
   int capacity_ = 0;
-  std::vector<Step> base_;                            ///< sorted, cumulative
-  std::vector<std::pair<SimTime, int>> overlay_;      ///< sorted (time, delta)
+  std::vector<Step> base_;  ///< sorted, cumulative
+  // Working profile, struct of arrays: free_[i] nodes are free over
+  // [times_[i], times_[i + 1]). times_[0] is kSentinelTime.
+  std::vector<SimTime> times_;
+  std::vector<int> free_;
 };
 
 }  // namespace sdsched

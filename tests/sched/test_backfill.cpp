@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "scheduler_test_harness.h"
 
@@ -264,6 +266,92 @@ TEST_F(BackfillTest, ExaminationBudgetBoundsPassWork) {
   // Only the first queued job is examined; b stays even though it fits.
   EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{a}));
   EXPECT_TRUE(limited.queue().contains(b));
+}
+
+// Requested times near INT64_MAX: every reservation window a pass derives
+// from one saturates at kForever instead of overflowing (the asan preset
+// halts on the signed overflow), so the job holds its nodes for good.
+constexpr SimTime kHugeReqTime = std::numeric_limits<SimTime>::max() - 1;
+
+/// Applies a start without the kernel's predicted-end arithmetic (now +
+/// req_time would overflow for kHugeReqTime): the job is placed and
+/// predicted to run until kForever.
+class HorizonExecutor final : public StartExecutor {
+ public:
+  explicit HorizonExecutor(TestCluster& cluster) noexcept : cluster_(cluster) {}
+
+  SimTime now = 0;
+  std::vector<JobId> static_starts;
+
+  void start_static(JobId id, const std::vector<int>& nodes) override {
+    Job& job = cluster_.jobs.at(id);
+    job.state = JobState::Running;
+    job.start_time = now;
+    job.predicted_end = ReservationProfile::kForever;
+    cluster_.mgr.start_static(now, id, nodes);
+    static_starts.push_back(id);
+  }
+
+  void start_guest(JobId /*id*/, const MatePlan& /*plan*/) override {
+    ADD_FAILURE() << "the static baseline never starts guests";
+  }
+
+ private:
+  TestCluster& cluster_;
+};
+
+TEST_F(BackfillTest, HugeRequestStartWindowSaturates) {
+  HorizonExecutor horizon(cluster_);
+  BackfillScheduler sched(cluster_.machine, cluster_.jobs, horizon, SchedConfig{});
+  sched.set_cluster_index(&cluster_.index);
+  const JobId a = cluster_.jobs.add(spec_of(0, 100, kHugeReqTime, 96, 48));
+  sched.on_submit(a);
+  const JobId b = cluster_.jobs.add(spec_of(0, 10, 10, 192, 48));
+  sched.on_submit(b);
+  horizon.now = 5;
+  sched.schedule_pass(5);
+  // A's start window [5, kForever) keeps its two nodes out of the profile,
+  // so B (all four nodes) can never fit rather than being promised them.
+  EXPECT_EQ(horizon.static_starts, (std::vector<JobId>{a}));
+  EXPECT_EQ(sched.cancelled_jobs(), 1u);
+  EXPECT_FALSE(sched.queue().contains(b));
+}
+
+TEST_F(BackfillTest, HugeRequestHoldWindowSaturates) {
+  // X and Y (huge requests, so no release before kForever) leave nodes 1
+  // and 3 free: two nodes, but not two consecutive ones.
+  const JobId x = cluster_.jobs.add(spec_of(0, 100, kHugeReqTime, 48, 48));
+  const JobId y = cluster_.jobs.add(spec_of(0, 100, kHugeReqTime, 48, 48));
+  cluster_.start_static(x, {0}, 0);
+  cluster_.start_static(y, {2}, 0);
+  // C wants two contiguous nodes: the counts profile says "now", the pick
+  // fails, and the pass holds [5, kForever) for it.
+  JobSpec contiguous = spec_of(5, 100, kHugeReqTime, 96, 48);
+  contiguous.constraints.contiguous = true;
+  const JobId c = cluster_.jobs.add(contiguous);
+  sched_.on_submit(c);
+  const JobId d = submit(96, 50, 50, 5);
+  executor_.now = 5;
+  sched_.schedule_pass(5);
+  // The hold keeps D off the two free nodes.
+  EXPECT_TRUE(executor_.static_starts.empty());
+  EXPECT_TRUE(sched_.queue().contains(c));
+  EXPECT_NE(cluster_.jobs.at(d).state, JobState::Running);
+}
+
+TEST_F(BackfillTest, HugeRequestReservationWindowSaturates) {
+  const JobId x = submit(96, 100, 100);
+  sched_.schedule_pass(0);
+  ASSERT_EQ(executor_.static_starts, (std::vector<JobId>{x}));
+  // A (all four nodes, huge request) is reserved from X's release at 100
+  // to kForever; B (two nodes, 200 s) would overlap that reservation.
+  const JobId a = submit(192, 100, kHugeReqTime, 5);
+  const JobId b = submit(96, 200, 200, 5);
+  executor_.now = 5;
+  sched_.schedule_pass(5);
+  EXPECT_EQ(executor_.static_starts, (std::vector<JobId>{x}));
+  EXPECT_TRUE(sched_.queue().contains(a));
+  EXPECT_NE(cluster_.jobs.at(b).state, JobState::Running);
 }
 
 // The cluster index is a precondition of every pass, not an optional

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 namespace sdsched {
@@ -152,8 +154,11 @@ TEST(Reservation, BaseSnapshotPlusOverlay) {
   // A base snapshot from the cluster index, then pass-local reservations on
   // top; clear_overlay() must restore exactly the base.
   ReservationProfile profile;
+  EXPECT_EQ(profile.breakpoint_count(), 0u);
   profile.set_base(8, /*origin=*/100, {{150, 3}, {200, 2}});
   EXPECT_EQ(profile.capacity(), 8);
+  EXPECT_EQ(profile.breakpoint_count(), 3u);  // origin + two releases
+  EXPECT_EQ(profile.available_at(99), 8);
   EXPECT_EQ(profile.available_at(100), 3);
   EXPECT_EQ(profile.available_at(150), 6);
   EXPECT_EQ(profile.available_at(200), 8);
@@ -161,14 +166,43 @@ TEST(Reservation, BaseSnapshotPlusOverlay) {
   EXPECT_EQ(profile.earliest_start(8, 10, 100), 200);
 
   profile.reserve(100, 160, 3);  // the pass starts a job on the free nodes
+  EXPECT_EQ(profile.breakpoint_count(), 4u);  // the window's end split a step
   EXPECT_EQ(profile.available_at(100), 0);
   EXPECT_EQ(profile.available_at(150), 3);
   EXPECT_EQ(profile.earliest_start(4, 10, 100), 160);
 
   profile.clear_overlay();
+  EXPECT_EQ(profile.breakpoint_count(), 3u);
   EXPECT_EQ(profile.available_at(100), 3);
   EXPECT_EQ(profile.earliest_start(8, 10, 100), 200);
   EXPECT_EQ(profile.first_release_time(), 150);
+
+  // A window on existing breakpoints splits nothing; the restore must
+  // still undo it.
+  profile.reserve(150, 200, 6);
+  EXPECT_EQ(profile.breakpoint_count(), 3u);
+  EXPECT_EQ(profile.available_at(150), 0);
+  profile.clear_overlay();
+  EXPECT_EQ(profile.available_at(150), 6);
+}
+
+// Durations near INT64_MAX: the window end saturates at kForever instead of
+// overflowing (the asan preset halts on the signed overflow).
+constexpr SimTime kHugeDuration = std::numeric_limits<SimTime>::max() - 1;
+
+TEST(Reservation, EarliestStartSaturatesHugeWindow) {
+  ReservationProfile profile(4);
+  profile.reserve(10, 20, 4);
+  // The window from 5 never closes, so the dip at 10 rules 5 out.
+  EXPECT_EQ(profile.earliest_start(1, kHugeDuration, 5), 20);
+  EXPECT_EQ(profile.earliest_start(1, kHugeDuration, 25), 25);
+}
+
+TEST(Reservation, MinAvailableSaturatesHugeWindow) {
+  ReservationProfile profile(4);
+  profile.reserve(10, 20, 3);
+  EXPECT_EQ(profile.min_available(5, kHugeDuration), 1);
+  EXPECT_EQ(profile.min_available(20, kHugeDuration), 4);
 }
 
 /// Brute-force reference: availability by summing raw intervals, earliest
@@ -221,14 +255,17 @@ TEST(Reservation, RandomizedAgainstBruteForce) {
     state ^= state << 17;
     return state % bound;
   };
-  for (int round = 0; round < 40; ++round) {
-    const int capacity = 2 + static_cast<int>(rnd(14));
-    ReservationProfile profile;
-    ReferenceProfile ref{capacity, {}};
-    // A base snapshot for half the rounds, pure overlay for the rest.
-    if (round % 2 == 0) {
+  for (int round = 0; round < 60; ++round) {
+    // A base snapshot from a random origin, a capacity-only profile, or a
+    // default-constructed one (capacity 0: only releases make room).
+    const int kind = round % 3;
+    const int capacity = kind == 2 ? 0 : 2 + static_cast<int>(rnd(14));
+    ReservationProfile profile = kind == 2 ? ReservationProfile() : ReservationProfile(capacity);
+    std::vector<std::tuple<SimTime, SimTime, int>> base_ops;
+    if (kind == 0) {
+      const SimTime origin = static_cast<SimTime>(rnd(40));
       std::vector<std::pair<SimTime, int>> groups;
-      SimTime t = 1;
+      SimTime t = origin;
       int left = capacity;
       while (left > 0 && rnd(4) != 0) {
         t += 1 + static_cast<SimTime>(rnd(40));
@@ -236,46 +273,50 @@ TEST(Reservation, RandomizedAgainstBruteForce) {
         groups.emplace_back(t, n);
         left -= n;
       }
-      profile.set_base(capacity, 0, groups);
-      for (const auto& [free_at, n] : groups) {
-        ref.ops.emplace_back(0, free_at, -n);
-      }
-    } else {
-      profile = ReservationProfile(capacity);
+      profile.set_base(capacity, origin, groups);
+      for (const auto& [free_at, n] : groups) base_ops.emplace_back(origin, free_at, -n);
     }
-    for (int op = 0; op < 12; ++op) {
-      const SimTime start = static_cast<SimTime>(rnd(120));
-      const SimTime end = rnd(8) == 0 ? ReservationProfile::kForever
-                                      : start + 1 + static_cast<SimTime>(rnd(60));
-      const int nodes = 1 + static_cast<int>(rnd(3));
-      if (rnd(3) == 0) {
-        profile.release(start, end, nodes);
-        ref.ops.emplace_back(start, end, nodes);
-      } else {
-        profile.reserve(start, end, nodes);
-        ref.ops.emplace_back(start, end, -nodes);
+    ReferenceProfile ref{capacity, {}};
+    // Several passes over the same base: each starts from clear_overlay()
+    // and interleaves its reservations with the queries a pass makes.
+    for (int pass = 0; pass < 4; ++pass) {
+      profile.clear_overlay();
+      ref.ops = base_ops;
+      for (int step = 0; step < 16; ++step) {
+        if (rnd(2) == 0) {
+          // Starts range before the base origin as well as after it.
+          const SimTime start = static_cast<SimTime>(rnd(140)) - 20;
+          const SimTime end = rnd(8) == 0 ? ReservationProfile::kForever
+                                          : start + 1 + static_cast<SimTime>(rnd(60));
+          const int nodes = 1 + static_cast<int>(rnd(3));
+          if (rnd(3) == 0) {
+            profile.release(start, end, nodes);
+            ref.ops.emplace_back(start, end, nodes);
+          } else {
+            profile.reserve(start, end, nodes);
+            ref.ops.emplace_back(start, end, -nodes);
+          }
+          continue;
+        }
+        const SimTime t = static_cast<SimTime>(rnd(220)) - 30;
+        ASSERT_EQ(profile.available_at(t), ref.available_at(t))
+            << "round " << round << " pass " << pass << " t=" << t;
+        const int nodes = 1 + static_cast<int>(rnd(static_cast<std::uint64_t>(capacity) + 2));
+        const SimTime dur = static_cast<SimTime>(rnd(70));
+        const SimTime not_before = static_cast<SimTime>(rnd(170)) - 20;
+        ASSERT_EQ(profile.earliest_start(nodes, dur, not_before),
+                  ref.earliest_start(nodes, dur, not_before))
+            << "round " << round << " pass " << pass << " nodes=" << nodes << " dur=" << dur
+            << " not_before=" << not_before;
+        const SimTime ws = static_cast<SimTime>(rnd(170)) - 20;
+        const SimTime wd = 1 + static_cast<SimTime>(rnd(60));
+        int expect_min = ref.available_at(ws);
+        for (SimTime w = ws; w < ws + wd; ++w) {
+          expect_min = std::min(expect_min, ref.available_at(w));
+        }
+        ASSERT_EQ(profile.min_available(ws, wd), expect_min)
+            << "round " << round << " pass " << pass << " ws=" << ws << " wd=" << wd;
       }
-    }
-    for (SimTime t = 0; t < 200; t += 7) {
-      ASSERT_EQ(profile.available_at(t), ref.available_at(t)) << "round " << round
-                                                              << " t=" << t;
-    }
-    for (int q = 0; q < 20; ++q) {
-      const int nodes = 1 + static_cast<int>(rnd(static_cast<std::uint64_t>(capacity) + 2));
-      const SimTime dur = static_cast<SimTime>(rnd(70));
-      const SimTime not_before = static_cast<SimTime>(rnd(150));
-      ASSERT_EQ(profile.earliest_start(nodes, dur, not_before),
-                ref.earliest_start(nodes, dur, not_before))
-          << "round " << round << " nodes=" << nodes << " dur=" << dur
-          << " not_before=" << not_before;
-      const SimTime ws = static_cast<SimTime>(rnd(150));
-      const SimTime wd = 1 + static_cast<SimTime>(rnd(60));
-      int expect_min = ref.available_at(ws);
-      for (SimTime t = ws; t < ws + wd; ++t) {
-        expect_min = std::min(expect_min, ref.available_at(t));
-      }
-      ASSERT_EQ(profile.min_available(ws, wd), expect_min)
-          << "round " << round << " ws=" << ws << " wd=" << wd;
     }
   }
 }
