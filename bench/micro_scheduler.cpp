@@ -4,9 +4,11 @@
 //
 // A second mode, `--pass-metrics` (with optional `--json=<path>` and
 // `--passes=<n>`), bypasses google-benchmark and runs the incremental-state
-// study: per-scheduling-pass p50/p95 latency and profile breakpoint counts
-// across machine sizes, for the event-driven index on steady and churning
-// clusters.
+// study: per-scheduling-pass p50/p95 latency, profile breakpoint counts and
+// estimate-memo hits across machine sizes, for the event-driven index on
+// steady and churning clusters. It exits nonzero unless every steady pass
+// after the first takes all 16 waiting jobs' estimates from the memo and no
+// churning pass takes any.
 //
 // A third mode, `--sd-pass` (with optional `--json=<path>`, `--selects=<n>`,
 // `--picks=<n>`, `--flips=<n>`, `--max-freepick-p95-ns=<n>`), runs the SD
@@ -210,11 +212,15 @@ struct PassStats {
   std::size_t breakpoints = 0;
   std::uint64_t profile_reuses = 0;
   std::uint64_t profile_rebuilds = 0;
+  std::uint64_t est_memo_hits = 0;
 };
 
 /// A full cluster with few distinct release times (8 groups) plus a queue
-/// that cannot start: every pass re-derives reservations only. `churn`
-/// replaces one node's occupant per pass (the dirty case).
+/// that cannot start: no pass starts anything. On the steady cluster every
+/// pass after the first reuses the base snapshot and takes each waiting
+/// job's estimate from the memo; `churn` replaces one node's occupant per
+/// pass (the dirty case), so every pass rebuilds the base and probes the
+/// profile for every job.
 PassStats run_pass_study(const char* label, int node_count, int passes, bool churn,
                          double& generate_seconds) {
   const auto setup_start = std::chrono::steady_clock::now();
@@ -294,6 +300,7 @@ PassStats run_pass_study(const char* label, int node_count, int passes, bool chu
   stats.breakpoints = scheduler.profile_breakpoints();
   stats.profile_reuses = scheduler.profile_reuses();
   stats.profile_rebuilds = scheduler.profile_rebuilds();
+  stats.est_memo_hits = scheduler.est_memo_hits();
   return stats;
 }
 
@@ -303,8 +310,8 @@ int run_pass_metrics(int argc, char** argv) {
   const std::string json_path = args.get_or("json", "");
 
   std::printf("scheduling-pass latency (full machine, 8 release waves, 16 waiting jobs)\n");
-  std::printf("%-18s %8s %10s %10s %12s %8s/%-8s\n", "case", "nodes", "p50(ns)",
-              "p95(ns)", "breakpoints", "reuses", "rebuilds");
+  std::printf("%-18s %8s %10s %10s %12s %8s/%-8s %10s\n", "case", "nodes", "p50(ns)",
+              "p95(ns)", "breakpoints", "reuses", "rebuilds", "memo_hits");
 
   const auto start = std::chrono::steady_clock::now();
   double generate_seconds = 0.0;
@@ -316,11 +323,25 @@ int run_pass_metrics(int argc, char** argv) {
   const auto study_end = std::chrono::steady_clock::now();
   const double wall = std::chrono::duration<double>(study_end - start).count();
 
+  // Memo gate: a steady pass after the first hits on all 16 waiting jobs,
+  // a churning pass (new base every time) on none.
+  bool memo_ok = true;
   for (const auto& s : all) {
-    std::printf("%-18s %8d %10.0f %10.0f %12zu %8llu/%-8llu\n", s.label.c_str(), s.nodes,
-                s.p50_ns, s.p95_ns, s.breakpoints,
+    std::printf("%-18s %8d %10.0f %10.0f %12zu %8llu/%-8llu %10llu\n", s.label.c_str(),
+                s.nodes, s.p50_ns, s.p95_ns, s.breakpoints,
                 static_cast<unsigned long long>(s.profile_reuses),
-                static_cast<unsigned long long>(s.profile_rebuilds));
+                static_cast<unsigned long long>(s.profile_rebuilds),
+                static_cast<unsigned long long>(s.est_memo_hits));
+    const std::uint64_t expected =
+        s.label == "indexed_steady"
+            ? static_cast<std::uint64_t>(std::max(s.passes - 1, 0)) * 16
+            : 0;
+    if (s.est_memo_hits != expected) {
+      std::fprintf(stderr, "memo gate: %s at %d nodes took %llu memo hits, expected %llu\n",
+                   s.label.c_str(), s.nodes, static_cast<unsigned long long>(s.est_memo_hits),
+                   static_cast<unsigned long long>(expected));
+      memo_ok = false;
+    }
   }
   std::printf("\nindexed_steady should stay flat as nodes grow (O(dirty) refresh).\n");
 
@@ -350,6 +371,7 @@ int run_pass_metrics(int argc, char** argv) {
       json.field("breakpoints", static_cast<std::uint64_t>(s.breakpoints));
       json.field("profile_reuses", s.profile_reuses);
       json.field("profile_rebuilds", s.profile_rebuilds);
+      json.field("est_memo_hits", s.est_memo_hits);
       json.end_object();
     }
     json.end_array();
@@ -361,7 +383,7 @@ int run_pass_metrics(int argc, char** argv) {
     write_text_file(json_path, json.str());
     std::printf("(json written to %s)\n", json_path.c_str());
   }
-  return 0;
+  return memo_ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ void BackfillScheduler::schedule_pass(SimTime now) {
   require_cluster_index();
   if (queue_.empty()) return;
   ReservationProfile& profile = pass_profile(now);
+  // The last pass's answers hold only over the same base snapshot. Entries
+  // at walk positions [0, trusted) may still be reused; this pass rewrites
+  // the memo in place up to its own first start, hold or cancel, where
+  // `recording` turns false and reuse ends with it.
+  std::size_t trusted = est_memo_rebuilds_ == profile_rebuilds_ ? est_memo_.size() : 0;
+  est_memo_rebuilds_ = profile_rebuilds_;
+  std::size_t recorded = 0;
+  bool recording = true;
   int reservations = 0;
   int examined = 0;
   for (const JobId id : scheduling_order(now)) {
@@ -102,30 +110,65 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       job.state = JobState::Cancelled;
       queue_.remove(id);
       ++cancelled_;
+      recording = false;
       continue;
     }
     const SimTime planned = effective_req_time(job.spec);
-    SimTime est = profile.earliest_start(req_nodes, planned, now);
-    if (est == ReservationProfile::kNever) {
+    const auto pos = static_cast<std::size_t>(examined - 1);
+    const EstMemo* memo = nullptr;
+    if (recording && pos < trusted) {
+      const EstMemo& entry = est_memo_[pos];
+      if (entry.id == id && entry.nodes == req_nodes && entry.planned == planned) memo = &entry;
+    }
+    // An answer remembered from an earlier `now` is still the exact
+    // earliest start while it lies in the future (see the determinism doc);
+    // `remembered == now` stands for "nothing remembered" and probes.
+    bool probed = false;
+    const auto earliest = [&](const ReservationProfile& p, SimTime remembered) {
+      if (remembered > now) {
+#ifdef SDSCHED_INDEX_CROSSCHECK
+        assert(p.earliest_start(req_nodes, planned, now) == remembered &&
+               "remembered earliest start diverged from a fresh probe");
+#endif
+        return remembered;
+      }
+      probed = true;
+      return p.earliest_start(req_nodes, planned, now);
+    };
+    const SimTime shared = earliest(profile, memo != nullptr ? memo->shared : now);
+    if (shared == ReservationProfile::kNever) {
       // Larger than the machine (cannot happen for prepared workloads).
       log_warn("backfill", "job ", id, " can never fit; cancelling");
       job.state = JobState::Cancelled;
       queue_.remove(id);
       ++cancelled_;
+      recording = false;
       continue;
     }
+    SimTime class_est = ReservationProfile::kNever;
     if (!job.spec.constraints.unconstrained()) {
       // The shared profile is class-blind; the class layer knows how many
       // *eligible* nodes are free over the window. Take the later of the
       // two answers — exact where the counts model applies.
-      if (ReservationProfile* layer = class_profile(now, job.spec.constraints)) {
-        const SimTime class_est = layer->earliest_start(req_nodes, planned, now);
+      if (memo != nullptr && memo->layer > now) {
+#ifdef SDSCHED_INDEX_CROSSCHECK
+        class_est = earliest(*class_profile(now, job.spec.constraints), memo->layer);
+#else
+        class_est = memo->layer;
+#endif
+      } else if (ReservationProfile* layer = class_profile(now, job.spec.constraints)) {
+        class_est = earliest(*layer, now);
         assert(class_est != ReservationProfile::kNever &&
                "eligible-node cancel check bounds the class-layer capacity");
-        est = std::max(est, class_est);
       }
     }
+    const SimTime est = std::max(shared, class_est);
+    if (memo != nullptr && !probed) ++est_memo_hits_;
+    if (memo == nullptr || memo->shared != shared || memo->layer != class_est) {
+      trusted = std::min(trusted, pos);  // later entries saw a different profile
+    }
     if (est == now) {
+      recording = false;
       const auto nodes = find_free_nodes(req_nodes, job.spec.constraints);
       if (nodes) {
         queue_.remove(id);
@@ -154,7 +197,17 @@ void BackfillScheduler::schedule_pass(SimTime now) {
     }
     if (try_malleable(now, job, est, profile)) {
       queue_.remove(id);
+      recording = false;
       continue;
+    }
+    if (recording) {
+      const EstMemo entry{id, req_nodes, planned, shared, class_est};
+      if (pos < est_memo_.size()) {
+        est_memo_[pos] = entry;
+      } else {
+        est_memo_.push_back(entry);
+      }
+      recorded = pos + 1;
     }
     if (reservations < config_.reservation_depth) {
       reserve_window(est, ReservationProfile::window_end(est, planned), req_nodes,
@@ -162,6 +215,7 @@ void BackfillScheduler::schedule_pass(SimTime now) {
       ++reservations;
     }
   }
+  est_memo_.resize(recorded);
 }
 
 }  // namespace sdsched

@@ -5,7 +5,10 @@
 // from the ClusterStateIndex and is *reused* across passes while the
 // cluster is unchanged; the flat working copy the previous pass reserved
 // into is restored from it, and the pass's own reservations are
-// re-derived. The pass then walks the wait queue in priority order:
+// re-derived. A pass over a reused base also takes the previous pass's
+// earliest-start answers for the unchanged queue prefix instead of probing
+// the profile again (the estimate memo below). The pass walks the wait
+// queue in priority order:
 //   * a job whose earliest feasible start is *now* starts immediately;
 //   * otherwise the policy hook try_malleable() may co-schedule it
 //     (SD-Policy overrides this; the static baseline declines);
@@ -55,6 +58,11 @@ class BackfillScheduler : public Scheduler {
   /// since the previous pass (observability for the microbench).
   [[nodiscard]] std::uint64_t profile_reuses() const noexcept { return profile_reuses_; }
   [[nodiscard]] std::uint64_t profile_rebuilds() const noexcept { return profile_rebuilds_; }
+
+  /// Queued jobs whose earliest start came from the previous pass's
+  /// estimate memo without probing the profile (observability for the
+  /// microbench).
+  [[nodiscard]] std::uint64_t est_memo_hits() const noexcept { return est_memo_hits_; }
 
   /// Per-class profile layers assembled for constrained jobs (observability).
   [[nodiscard]] std::uint64_t class_layer_builds() const noexcept {
@@ -107,6 +115,7 @@ class BackfillScheduler : public Scheduler {
   std::uint64_t profile_reuses_ = 0;
   std::uint64_t profile_rebuilds_ = 0;
   std::uint64_t class_layer_builds_ = 0;
+  std::uint64_t est_memo_hits_ = 0;
 
   ReservationProfile profile_;
   std::uint64_t profile_version_ = 0;  ///< index version the base reflects
@@ -124,6 +133,22 @@ class BackfillScheduler : public Scheduler {
   };
   std::vector<ClassLayer> class_layers_;     ///< this pass's layers (lazily built)
   std::vector<WindowReserve> pass_reserves_; ///< this pass's reservations, in order
+
+  // Estimate memo (docs/determinism.md "Remembered-estimate safety"): the
+  // raw earliest-start answers of the last pass, in walk order, up to its
+  // first start, hold or cancel. The next pass over the same base (same
+  // profile_rebuilds_) reuses, position by position, every answer still
+  // later than its `now`, until a job differs from its entry or gets a
+  // different answer.
+  struct EstMemo {
+    JobId id;
+    int nodes;
+    SimTime planned;
+    SimTime shared;  ///< shared-profile answer
+    SimTime layer;   ///< class-layer answer, kNever when no layer was read
+  };
+  std::vector<EstMemo> est_memo_;
+  std::uint64_t est_memo_rebuilds_ = 0;  ///< profile_rebuilds_ the memo was taken under
 };
 
 }  // namespace sdsched

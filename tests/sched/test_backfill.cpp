@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "scheduler_test_harness.h"
@@ -362,6 +364,353 @@ TEST_F(BackfillTest, PassWithoutClusterIndexThrows) {
   unwired.on_submit(a);
   EXPECT_THROW(unwired.schedule_pass(0), std::logic_error);
   EXPECT_TRUE(executor_.static_starts.empty());
+}
+
+
+// ---------------------------------------------------------------------------
+// Estimate memo: a pass over an unchanged base takes the previous pass's
+// earliest-start answers for the unchanged queue prefix. Every pass below is
+// checked against a scheduler that sees the same cluster for the first time.
+// ---------------------------------------------------------------------------
+
+/// Backfill whose policy hook records every (job, estimate) it is offered
+/// and, for the job named by `shrink_start`, starts it shrunk onto one node
+/// free over its whole window — a stand-in for a malleable start that goes
+/// through the executor and keeps the pass profile consistent, as the hook
+/// requires.
+class ProbingBackfill final : public BackfillScheduler {
+ public:
+  using BackfillScheduler::BackfillScheduler;
+
+  std::vector<std::pair<JobId, SimTime>> offered;
+  JobId shrink_start = kInvalidJob;
+
+ protected:
+  bool try_malleable(SimTime now, Job& job, SimTime est_start,
+                     ReservationProfile& profile) override {
+    offered.emplace_back(job.spec.id, est_start);
+    if (job.spec.id != shrink_start) return false;
+    const SimTime planned = effective_req_time(job.spec);
+    if (profile.min_available(now, planned) < 1) return false;
+    const auto nodes = find_free_nodes(1, job.spec.constraints);
+    if (!nodes) return false;
+    reserve_window(now, ReservationProfile::window_end(now, planned), 1,
+                   /*occupancy_backed=*/true);
+    executor_.start_static(job.spec.id, *nodes);
+    on_job_started(job.spec.id);
+    return true;
+  }
+};
+
+/// A cluster and the ProbingBackfill scheduling it.
+struct MemoWorld {
+  MemoWorld(const MachineConfig& machine_config, const SchedConfig& sched_config)
+      : machine(machine_config),
+        config(sched_config),
+        cluster(machine),
+        executor(cluster),
+        sched(cluster.machine, cluster.jobs, executor, config) {
+    sched.set_cluster_index(&cluster.index);
+  }
+
+  /// A job running on nodes [first, first + count) from t=0 until `until`.
+  JobId run(int first, int count, SimTime until) {
+    const JobId id = cluster.jobs.add(spec_of(0, until, until, count * 48, 48));
+    std::vector<int> nodes;
+    for (int n = first; n < first + count; ++n) nodes.push_back(n);
+    cluster.start_static(id, nodes, 0);
+    return id;
+  }
+
+  /// A waiting job of `nodes` whole nodes, requesting `planned` seconds.
+  JobId queue(int nodes, SimTime planned, SimTime submit_time = 0, int min_memory_gb = 0) {
+    JobSpec spec = spec_of(submit_time, planned, planned, nodes * 48, 48);
+    spec.constraints.min_memory_gb = min_memory_gb;
+    const JobId id = cluster.jobs.add(spec);
+    sched.on_submit(id);
+    return id;
+  }
+
+  void finish(JobId id, SimTime now) {
+    cluster.finish(id, now);
+    sched.on_finish(id);
+  }
+
+  const MachineConfig machine;
+  const SchedConfig config;
+  TestCluster cluster;
+  RecordingExecutor executor;
+  ProbingBackfill sched;
+};
+
+/// The cluster `world` holds, seen by a scheduler that never ran a pass:
+/// the same jobs (so the same ids), the running ones on the same nodes
+/// since the same start times, the waiting ones submitted anew.
+std::unique_ptr<MemoWorld> fresh_copy(const MemoWorld& world) {
+  auto copy = std::make_unique<MemoWorld>(world.machine, world.config);
+  copy->sched.shrink_start = world.sched.shrink_start;
+  for (JobId id = 0; id < world.cluster.jobs.size(); ++id) {
+    const Job& job = world.cluster.jobs.at(id);
+    copy->cluster.jobs.add(job.spec);
+    if (job.state == JobState::Running) {
+      std::vector<int> nodes;
+      for (const NodeShare& share : job.shares) nodes.push_back(share.node);
+      copy->cluster.start_static(id, nodes, job.start_time);
+    } else if (world.sched.queue().contains(id)) {
+      copy->sched.on_submit(id);
+    } else {
+      copy->cluster.jobs.at(id).state = job.state;
+    }
+  }
+  return copy;
+}
+
+/// Runs `world`'s pass at `now` and a fresh scheduler's first pass at the
+/// same `now` on a copy of the cluster as it stood before; both must offer
+/// the same estimates, start the same jobs and end with the same profile
+/// breakpoints. Returns the memo hits `world`'s pass took.
+std::uint64_t pass_and_compare(MemoWorld& world, SimTime now) {
+  const auto fresh = fresh_copy(world);
+  const std::uint64_t hits_before = world.sched.est_memo_hits();
+  const auto starts_before = static_cast<std::ptrdiff_t>(world.executor.static_starts.size());
+  world.sched.offered.clear();
+  world.executor.now = now;
+  world.sched.schedule_pass(now);
+  fresh->executor.now = now;
+  fresh->sched.schedule_pass(now);
+  EXPECT_EQ(std::vector<JobId>(world.executor.static_starts.begin() + starts_before,
+                               world.executor.static_starts.end()),
+            fresh->executor.static_starts)
+      << "at t=" << now;
+  EXPECT_EQ(world.sched.offered, fresh->sched.offered) << "at t=" << now;
+  EXPECT_EQ(world.sched.profile_breakpoints(), fresh->sched.profile_breakpoints())
+      << "at t=" << now;
+  EXPECT_EQ(world.sched.queue().ordered_ids(), fresh->sched.queue().ordered_ids())
+      << "at t=" << now;
+  EXPECT_EQ(fresh->sched.est_memo_hits(), 0u);
+  return world.sched.est_memo_hits() - hits_before;
+}
+
+MachineConfig eight_nodes() {
+  MachineConfig config;
+  config.nodes = 8;
+  config.node = NodeConfig{2, 24};
+  return config;
+}
+
+TEST(EstMemoTest, SubmitAndTickPassesReuseEveryRememberedEstimate) {
+  MemoWorld world(eight_nodes(), SchedConfig{});
+  world.run(0, 4, 1000);
+  world.run(4, 4, 2000);
+  const JobId q1 = world.queue(8, 500);
+  const JobId q2 = world.queue(4, 300);
+  const JobId q3 = world.queue(2, 100);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {q1, 2000}, {q2, 1000}, {q3, 1300}}));
+  // A submit at the tail: the three remembered jobs hit, the new one probes.
+  const JobId q4 = world.queue(8, 100, 5);
+  EXPECT_EQ(pass_and_compare(world, 5), 3u);
+  EXPECT_EQ(world.sched.offered.back(), (std::pair<JobId, SimTime>{q4, 2500}));
+  // Ticks over the unchanged cluster: every waiting job hits.
+  EXPECT_EQ(pass_and_compare(world, 35), 4u);
+  EXPECT_EQ(pass_and_compare(world, 65), 4u);
+  EXPECT_EQ(world.sched.est_memo_hits(), 11u);
+  EXPECT_EQ(world.executor.static_starts, std::vector<JobId>{});
+}
+
+TEST(EstMemoTest, PassesAfterAFinishOrAStaticStartRecordNoHits) {
+  MemoWorld world(eight_nodes(), SchedConfig{});
+  const JobId r1 = world.run(0, 4, 1000);
+  world.run(4, 4, 2000);
+  world.queue(8, 500);
+  const JobId q2 = world.queue(4, 300);
+  world.queue(2, 100);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(pass_and_compare(world, 31), 3u);
+  // R1 ends early: the base is rebuilt and nothing is remembered over it.
+  // The same pass starts Q2 on the released nodes.
+  world.finish(r1, 900);
+  EXPECT_EQ(pass_and_compare(world, 900), 0u);
+  EXPECT_EQ(world.executor.static_starts, std::vector<JobId>{q2});
+  // Q2's start changed the cluster: the next pass probes afresh too.
+  EXPECT_EQ(pass_and_compare(world, 930), 0u);
+  // Then the cluster holds still again and the two waiting jobs hit.
+  EXPECT_EQ(pass_and_compare(world, 960), 2u);
+}
+
+TEST(EstMemoTest, MalleableStartEndsReuseForTheRestOfThePass) {
+  MemoWorld world(eight_nodes(), SchedConfig{});
+  world.run(0, 6, 1000);
+  // X asks for the whole machine but can also start shrunk on one node.
+  JobSpec shrinkable = spec_of(0, 500, 500, 48, 48);
+  shrinkable.req_nodes = 8;
+  const JobId x = world.cluster.jobs.add(shrinkable);
+  world.sched.on_submit(x);
+  const JobId y = world.queue(2, 1200);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  // Y cannot run before X's whole-machine reservation ends.
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {x, 1000}, {y, 1500}}));
+  // A second pass at the same instant (another arrival) starts X shrunk:
+  // X's remembered estimate is taken, but Y's is not — with X gone from
+  // the queue, Y can start once X's single node frees at 501.
+  world.sched.shrink_start = x;
+  const JobId z = world.queue(8, 100, 1);
+  EXPECT_EQ(pass_and_compare(world, 1), 1u);
+  EXPECT_EQ(world.executor.static_starts, std::vector<JobId>{x});
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {x, 1000}, {y, 501}, {z, 1701}}));
+  // X's start changed the cluster: nothing is remembered over the new base.
+  EXPECT_EQ(pass_and_compare(world, 2), 0u);
+  EXPECT_EQ(pass_and_compare(world, 32), 2u);
+}
+
+TEST(EstMemoTest, SmallerArrivalStopsReuseFromItsPosition) {
+  SchedConfig config;
+  config.priority.kind = PriorityKind::SmallestFirst;
+  MemoWorld world(eight_nodes(), config);
+  world.run(0, 8, 1000);
+  const JobId q1 = world.queue(8, 500);
+  const JobId q2 = world.queue(4, 300);
+  const JobId q3 = world.queue(2, 100);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {q3, 1000}, {q2, 1000}, {q1, 1300}}));
+  // A 3-node arrival sorts between Q3 and Q2: only Q3 keeps its answer.
+  const JobId q4 = world.queue(3, 200, 10);
+  EXPECT_EQ(pass_and_compare(world, 10), 1u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {q3, 1000}, {q4, 1000}, {q2, 1100}, {q1, 1400}}));
+  EXPECT_EQ(pass_and_compare(world, 40), 4u);
+}
+
+TEST(EstMemoTest, LargerArrivalAtTheHeadStopsAllReuse) {
+  SchedConfig config;
+  config.priority.kind = PriorityKind::Multifactor;
+  config.priority.age_weight = 0.0;
+  config.priority.size_weight = 1000.0;
+  config.priority.machine_nodes = 8;
+  MemoWorld world(eight_nodes(), config);
+  world.run(0, 8, 1000);
+  world.queue(2, 100);
+  world.queue(4, 300);
+  world.queue(6, 500);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(pass_and_compare(world, 31), 3u);
+  // An 8-node arrival heads the queue: every position now holds a
+  // different job (or the same job over a different profile).
+  const JobId head = world.queue(8, 200, 40);
+  EXPECT_EQ(pass_and_compare(world, 40), 0u);
+  EXPECT_EQ(world.sched.offered.front(), (std::pair<JobId, SimTime>{head, 1000}));
+  EXPECT_EQ(pass_and_compare(world, 70), 4u);
+}
+
+TEST(EstMemoTest, ConstrainedJobsReuseBothAnswers) {
+  MachineConfig machine = eight_nodes();
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  machine.attribute_overrides.emplace_back(6, highmem);
+  machine.attribute_overrides.emplace_back(7, highmem);
+  MemoWorld world(machine, SchedConfig{});
+  world.run(0, 4, 1000);
+  world.run(4, 2, 1500);
+  world.run(6, 2, 2000);  // the two highmem nodes
+  // C needs highmem: the shared profile says 1000, its class layer 2000.
+  const JobId c = world.queue(2, 100, 0, /*min_memory_gb=*/128);
+  const JobId u = world.queue(4, 600);
+  const JobId c2 = world.queue(1, 50, 0, /*min_memory_gb=*/128);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {c, 2000}, {u, 1000}, {c2, 2100}}));
+  EXPECT_EQ(pass_and_compare(world, 31), 3u);
+  const JobId u2 = world.queue(2, 100, 40);
+  EXPECT_EQ(pass_and_compare(world, 40), 3u);
+  EXPECT_EQ(world.sched.offered.back(), (std::pair<JobId, SimTime>{u2, 1500}));
+  EXPECT_EQ(pass_and_compare(world, 70), 4u);
+}
+
+TEST(EstMemoTest, AnswerNoLongerInTheFutureIsProbedAgain) {
+  MachineConfig machine = eight_nodes();
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  machine.attribute_overrides.emplace_back(6, highmem);
+  machine.attribute_overrides.emplace_back(7, highmem);
+  MemoWorld world(machine, SchedConfig{});
+  world.run(6, 2, 1000);  // the two highmem nodes
+  // C needs highmem: the shared profile answers `now` (six nodes of the
+  // wrong class are free), its class layer 1000.
+  const JobId c = world.queue(1, 100, 0, /*min_memory_gb=*/128);
+  const JobId u = world.queue(8, 100);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {c, 1000}, {u, 1100}}));
+  // C's remembered shared answer (1) is not in the future at t=31: it is
+  // probed again, answers 31 this time, and reuse ends there.
+  EXPECT_EQ(pass_and_compare(world, 31), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {c, 1000}, {u, 1100}}));
+}
+
+TEST(EstMemoTest, SameShapedArrivalWithOtherConstraintsTakesNoAnswer) {
+  MachineConfig machine = eight_nodes();
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  NodeAttributes infiniband;
+  infiniband.network = "ib";
+  machine.attribute_overrides.emplace_back(4, highmem);
+  machine.attribute_overrides.emplace_back(5, highmem);
+  machine.attribute_overrides.emplace_back(6, infiniband);
+  machine.attribute_overrides.emplace_back(7, infiniband);
+  MemoWorld world(machine, SchedConfig{});
+  world.run(0, 4, 500);
+  world.run(4, 2, 1000);  // highmem
+  world.run(6, 2, 2000);  // infiniband
+  const JobId a = world.queue(2, 100, 10, /*min_memory_gb=*/128);
+  EXPECT_EQ(pass_and_compare(world, 20), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{{a, 1000}}));
+  // B has A's shape but needs the infiniband nodes; its earlier submit
+  // stamp sorts it ahead of A, into the position A's answers belong to.
+  JobSpec ib = spec_of(5, 100, 100, 96, 48);
+  ib.constraints.required_network = "ib";
+  const JobId b = world.cluster.jobs.add(ib);
+  world.sched.on_submit(b);
+  EXPECT_EQ(pass_and_compare(world, 30), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {b, 2000}, {a, 1000}}));
+  EXPECT_EQ(pass_and_compare(world, 60), 2u);
+}
+
+TEST(EstMemoTest, HoldEndsTheMemo) {
+  // 4 nodes: X on node 0 and Y on node 2 run long, Z on node 1 ends at 200.
+  MachineConfig machine;
+  machine.nodes = 4;
+  machine.node = NodeConfig{2, 24};
+  MemoWorld world(machine, SchedConfig{});
+  world.run(0, 1, 1000);
+  const JobId z = world.run(1, 1, 200);
+  world.run(2, 1, 1000);
+  // H wants two consecutive nodes; J one node for long.
+  JobSpec contiguous = spec_of(0, 100, 100, 96, 48);
+  contiguous.constraints.contiguous = true;
+  const JobId h = world.cluster.jobs.add(contiguous);
+  world.sched.on_submit(h);
+  const JobId j = world.queue(1, 1000);
+  EXPECT_EQ(pass_and_compare(world, 1), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {h, 200}, {j, 300}}));
+  // Z ends early: nodes 1 and 3 are free but not adjacent, so H is held at
+  // `now` instead — the memo must not outlive that hold.
+  world.finish(z, 150);
+  EXPECT_EQ(pass_and_compare(world, 150), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{{j, 250}}));
+  // Another arrival at the same instant, over the same base: H is held
+  // again and nothing is taken from the memo.
+  const JobId k = world.queue(4, 10, 150);
+  EXPECT_EQ(pass_and_compare(world, 150), 0u);
+  EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
+                                     {j, 250}, {k, 1250}}));
+  EXPECT_TRUE(world.executor.static_starts.empty());
 }
 
 }  // namespace
