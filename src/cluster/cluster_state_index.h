@@ -21,7 +21,7 @@
 //    per word plus a summary level), so free/busy flips are O(1) bit
 //    maintenance and find_free_nodes — called from the scheduling pass on
 //    every start and from SD-Policy's mate-combination DFS — resolves with
-//    popcount/ctz word scans instead of walking the ordered free set;
+//    popcount/ctz word scans instead of scanning the machine's nodes;
 //  * a version counter, so schedulers can reuse their profile base across
 //    passes when nothing changed.
 //

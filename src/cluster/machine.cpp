@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 namespace sdsched {
 
@@ -19,64 +20,52 @@ bool node_satisfies(const NodeAttributes& attributes,
   return true;
 }
 
+namespace {
+
+MachineConfig validated(MachineConfig config) {
+  const auto require = [](bool ok, const char* field, const char* range, int value) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("MachineConfig: ") + field + " must be " + range +
+                                  ", got " + std::to_string(value));
+    }
+  };
+  static const std::string sockets_range = "in [1, " + std::to_string(kMaxSockets) + "]";
+  require(config.nodes >= 1, "nodes", ">= 1", config.nodes);
+  require(config.node.sockets >= 1 && config.node.sockets <= kMaxSockets, "node.sockets",
+          sockets_range.c_str(), config.node.sockets);
+  require(config.node.cores_per_socket >= 1, "node.cores_per_socket", ">= 1",
+          config.node.cores_per_socket);
+  return config;
+}
+
+}  // namespace
+
 // An index that subscribes after construction seeds itself from a full scan,
-// so the unnotified free_nodes_ seeding below cannot strand a subscriber.
+// so the unnotified free-node count seeded below cannot strand a subscriber.
 // detlint: mutator-ok(construction precedes any observer attachment)
 Machine::Machine(MachineConfig config)
-    : config_(std::move(config)), energy_(config_.energy, config_.nodes) {
-  assert(config_.nodes > 0);
-  // One lookup map instead of re-scanning the override list per node
-  // (O(nodes + overrides), not O(nodes x overrides) — at 5040 nodes a long
-  // override list made construction quadratic). insert_or_assign keeps the
-  // historical last-entry-wins semantics for duplicate node ids.
-  // Determinism audit (detlint D1): this unordered_map is lookup-only —
-  // `find` below, never iterated — so its order can't leak into node
-  // attribute assignment; the loop itself runs in ascending node id.
-  std::unordered_map<int, const NodeAttributes*> overrides;
-  overrides.reserve(config_.attribute_overrides.size());
+    : config_(validated(std::move(config))), energy_(config_.energy, config_.nodes) {
+  // Overrides apply in list order, so the last entry for a node id wins.
+  std::vector<const NodeAttributes*> attributes(config_.nodes, &config_.attributes);
   for (const auto& [id, override_attrs] : config_.attribute_overrides) {
-    overrides.insert_or_assign(id, &override_attrs);
+    if (id >= 0 && id < config_.nodes) attributes[id] = &override_attrs;
   }
   nodes_.reserve(config_.nodes);
-  for (int i = 0; i < config_.nodes; ++i) {
-    const auto it = overrides.find(i);
-    nodes_.emplace_back(i, config_.node,
-                        it != overrides.end() ? *it->second : config_.attributes);
-    free_nodes_.insert(i);
-  }
+  for (int i = 0; i < config_.nodes; ++i) nodes_.emplace_back(i, config_.node, *attributes[i]);
+  free_node_count_ = config_.nodes;
 }
 
 std::optional<std::vector<int>> Machine::find_free_nodes(
     int count, const JobConstraints* constraints) const {
   if (count > free_node_count()) return std::nullopt;
-  if (constraints == nullptr || constraints->unconstrained()) {
-    std::vector<int> picked;
-    picked.reserve(count);
-    for (const int id : free_nodes_) {
-      picked.push_back(id);
-      if (static_cast<int>(picked.size()) == count) break;
-    }
-    return picked;
-  }
-
-  std::vector<int> eligible;
-  for (const int id : free_nodes_) {
-    if (node_satisfies(nodes_[id].attributes(), *constraints)) eligible.push_back(id);
-  }
-  if (static_cast<int>(eligible.size()) < count) return std::nullopt;
-  if (!constraints->contiguous) {
-    eligible.resize(count);
-    return eligible;
-  }
-  // Contiguous: the earliest run of `count` consecutive ids.
-  int run_start = 0;
-  for (std::size_t i = 1; i <= eligible.size(); ++i) {
-    if (i == eligible.size() || eligible[i] != eligible[i - 1] + 1) {
-      if (static_cast<int>(i) - run_start >= count) {
-        return std::vector<int>(eligible.begin() + run_start,
-                                eligible.begin() + run_start + count);
-      }
-      run_start = static_cast<int>(i);
+  const bool filtered = constraints != nullptr && !constraints->unconstrained();
+  std::vector<int> picked;
+  for (const Node& node : nodes_) {
+    if (node.empty() && (!filtered || node_satisfies(node.attributes(), *constraints))) {
+      picked.push_back(node.id());
+      if (static_cast<int>(picked.size()) == count) return picked;
+    } else if (filtered && constraints->contiguous) {
+      picked.clear();  // the run of consecutive eligible ids breaks here
     }
   }
   return std::nullopt;
@@ -109,12 +98,8 @@ void Machine::commit(SimTime span, int cpu_delta, int node_delta) {
 }
 
 // detlint: mutator-ok(notify-path helper; every caller notifies after syncing)
-void Machine::sync_free_state(int node_id) {
-  if (nodes_[node_id].empty()) {
-    free_nodes_.insert(node_id);
-  } else {
-    free_nodes_.erase(node_id);
-  }
+void Machine::sync_free_state(int node_id, bool was_empty) {
+  free_node_count_ += static_cast<int>(nodes_[node_id].empty()) - static_cast<int>(was_empty);
 }
 
 bool Machine::allocate_exclusive(SimTime now, JobId job, const std::vector<int>& node_ids,
@@ -133,7 +118,7 @@ bool Machine::allocate_exclusive(SimTime now, JobId job, const std::vector<int>&
     (void)ok;
     busy_cores_ += held;
     added_cores += held;
-    sync_free_state(id);
+    sync_free_state(id, /*was_empty=*/true);
     notify(id);
   }
   commit(backdated, added_cores, static_cast<int>(node_ids.size()));
@@ -145,7 +130,7 @@ bool Machine::add_share(SimTime now, JobId job, int node_id, int cpus, bool is_o
   const bool was_empty = nodes_.at(node_id).empty();
   if (!nodes_[node_id].add(job, cpus, is_owner)) return false;
   busy_cores_ += cpus;
-  sync_free_state(node_id);
+  sync_free_state(node_id, was_empty);
   notify(node_id);
   commit(backdated, cpus, was_empty ? 1 : 0);
   return true;
@@ -165,28 +150,14 @@ bool Machine::resize_share(SimTime now, JobId job, int node_id, int cpus) {
 
 int Machine::remove_share(SimTime now, JobId job, int node_id) {
   const SimTime backdated = touch(now);
-  const int freed = nodes_.at(node_id).remove(job);
+  const bool was_empty = nodes_.at(node_id).empty();
+  const int freed = nodes_[node_id].remove(job);
   busy_cores_ -= freed;
   const bool emptied = freed > 0 && nodes_[node_id].empty();
-  sync_free_state(node_id);
+  sync_free_state(node_id, was_empty);
   if (freed > 0) notify(node_id);
   commit(backdated, -freed, emptied ? -1 : 0);
   return freed;
-}
-
-void Machine::release_all(SimTime now, JobId job, const std::vector<int>& node_ids) {
-  const SimTime backdated = touch(now);
-  int freed_cores = 0;
-  int emptied = 0;
-  for (const int id : node_ids) {
-    const int freed = nodes_.at(id).remove(job);
-    if (freed > 0 && nodes_[id].empty()) ++emptied;
-    busy_cores_ -= freed;
-    freed_cores += freed;
-    sync_free_state(id);
-    if (freed > 0) notify(id);
-  }
-  commit(backdated, -freed_cores, -emptied);
 }
 
 void Machine::finalize_energy(SimTime now) { (void)touch(now); }

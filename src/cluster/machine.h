@@ -1,6 +1,6 @@
 // The cluster: a homogeneous set of nodes (SLURM select/linear semantics:
-// whole-node allocation, lowest-id-first for determinism) plus load
-// accounting feeding the energy model.
+// whole-node allocation, lowest-id-first for determinism — the picks come
+// from ClusterStateIndex's bitmap) plus load accounting for the energy model.
 //
 // Node-id layout contract: node ids are dense, 0 .. node_count()-1, and
 // never change after construction. The bitmap FreeNodeIndex relies on this
@@ -12,7 +12,6 @@
 #pragma once
 
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -48,14 +47,14 @@ class MachineObserver {
 
 class Machine {
  public:
+  /// Throws std::invalid_argument naming the field and value when `nodes`,
+  /// `node.sockets` or `node.cores_per_socket` is < 1 or sockets > kMaxSockets.
   explicit Machine(MachineConfig config);
 
   [[nodiscard]] int node_count() const noexcept { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] int cores_per_node() const noexcept { return nodes_.front().total_cores(); }
   [[nodiscard]] int total_cores() const noexcept { return node_count() * cores_per_node(); }
-  [[nodiscard]] int free_node_count() const noexcept {
-    return static_cast<int>(free_nodes_.size());
-  }
+  [[nodiscard]] int free_node_count() const noexcept { return free_node_count_; }
   [[nodiscard]] int busy_cores() const noexcept { return busy_cores_; }
   [[nodiscard]] int occupied_nodes() const noexcept {
     return node_count() - free_node_count();
@@ -67,9 +66,11 @@ class Machine {
   [[nodiscard]] const Node& node(int id) const { return nodes_.at(id); }
   [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }
 
-  /// Pick `count` free nodes (lowest ids). Empty optional if insufficient.
-  /// With `constraints`, only nodes satisfying them are eligible, and
-  /// `constraints->contiguous` requires consecutive node ids.
+  /// Pick `count` >= 1 free nodes (lowest ids). Empty optional if
+  /// insufficient. With `constraints`, only nodes satisfying them are
+  /// eligible, and `constraints->contiguous` requires consecutive node ids.
+  /// An ascending scan of every node: the oracle ClusterStateIndex's picks
+  /// are checked against, not a production path.
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
@@ -94,9 +95,6 @@ class Machine {
 
   /// Remove `job` from `node_id`; returns cpus freed (0 if absent).
   int remove_share(SimTime now, JobId job, int node_id);
-
-  /// Remove `job` from every node it holds.
-  void release_all(SimTime now, JobId job, const std::vector<int>& node_ids);
 
   /// Flush the energy integral up to `now` (call at simulation end).
   void finalize_energy(SimTime now);
@@ -133,7 +131,8 @@ class Machine {
   /// have no such constraint — an out-of-order conflict fails loudly.
   void commit(SimTime span, int cpu_delta, int node_delta);
 
-  void sync_free_state(int node_id);
+  /// Count `node_id`'s emptiness flip since `was_empty` into free_node_count_.
+  void sync_free_state(int node_id, bool was_empty);
 
   void notify(int node_id) {
     if (observer_ != nullptr) observer_->on_node_occupancy_changed(node_id);
@@ -141,9 +140,9 @@ class Machine {
 
   MachineObserver* observer_ = nullptr;
   MachineConfig config_;
-  std::vector<Node> nodes_;
-  std::set<int> free_nodes_;  ///< ordered -> deterministic lowest-first picks
-  int busy_cores_ = 0;
+  std::vector<Node> nodes_;  ///< indexed by node id
+  int free_node_count_ = 0;  ///< empty nodes; kept by sync_free_state
+  int busy_cores_ = 0;       ///< cores held by all occupants
   EnergyAccountant energy_;
   double core_seconds_ = 0.0;
   SimTime last_touch_ = 0;

@@ -14,8 +14,12 @@
 
 namespace sdsched {
 
+/// Most sockets a node may have. A DROM mask holds one core count per socket
+/// inline (drom/drom.h); Machine rejects larger shapes at construction.
+inline constexpr int kMaxSockets = 8;
+
 struct NodeConfig {
-  int sockets = 2;
+  int sockets = 2;  ///< 1 .. kMaxSockets
   int cores_per_socket = 24;  ///< MN4: 2 x 24 = 48 cores
 };
 

@@ -1,35 +1,32 @@
 #include "drom/cpu_distribution.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <numeric>
 
 namespace sdsched {
 
-std::vector<CpuPlacement> distribute_cpu(const NodeConfig& node,
-                                         std::span<const CpuDemand> demands) {
-  const int capacity = node.sockets * node.cores_per_socket;
+void distribute_cpu(const NodeConfig& node, std::span<CpuDemand> demands,
+                    std::span<CpuMask> masks) {
+  assert(node.sockets >= 1 && node.sockets <= kMaxSockets && masks.size() == demands.size());
   int total = 0;
   for (const auto& d : demands) total += d.cpus;
-  assert(total <= capacity && "cpu distribution overcommits the node");
-  (void)capacity;
+  assert(total <= node.sockets * node.cores_per_socket &&
+         "cpu distribution overcommits the node");
+  (void)total;
 
   // Largest job first so big holdings grab whole sockets and small ones
   // fill the gaps; ties broken by job id for determinism.
-  std::vector<std::size_t> order(demands.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (demands[a].cpus != demands[b].cpus) return demands[a].cpus > demands[b].cpus;
-    return demands[a].job < demands[b].job;
+  std::sort(demands.begin(), demands.end(), [](const CpuDemand& a, const CpuDemand& b) {
+    if (a.cpus != b.cpus) return a.cpus > b.cpus;
+    return a.job < b.job;
   });
 
-  std::vector<int> socket_free(node.sockets, node.cores_per_socket);
-  std::vector<CpuPlacement> placements(demands.size());
-  for (const std::size_t idx : order) {
-    CpuPlacement placement;
-    placement.job = demands[idx].job;
-    placement.mask.cores_per_socket.assign(node.sockets, 0);
-    int remaining = demands[idx].cpus;
+  std::array<int, kMaxSockets> socket_free{};
+  std::fill_n(socket_free.begin(), node.sockets, node.cores_per_socket);
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    CpuMask& mask = masks[i] = CpuMask{};
+    int remaining = demands[i].cpus;
     // Pass 1: a socket that fits the job entirely (emptiest such socket —
     // prefer isolation).
     int chosen = -1;
@@ -40,36 +37,20 @@ std::vector<CpuPlacement> distribute_cpu(const NodeConfig& node,
       }
     }
     if (chosen >= 0) {
-      placement.mask.cores_per_socket[chosen] = remaining;
+      mask.cores_per_socket[chosen] = remaining;
       socket_free[chosen] -= remaining;
       remaining = 0;
     } else {
       // Pass 2: spill over sockets, fullest-fit first to keep fragments low.
       for (int s = 0; s < node.sockets && remaining > 0; ++s) {
         const int take = std::min(socket_free[s], remaining);
-        placement.mask.cores_per_socket[s] = take;
+        mask.cores_per_socket[s] = take;
         socket_free[s] -= take;
         remaining -= take;
       }
     }
     assert(remaining == 0);
-    placements[idx] = std::move(placement);
   }
-  return placements;
-}
-
-bool socket_isolated(const NodeConfig& node, std::span<const CpuPlacement> placements) {
-  for (int s = 0; s < node.sockets; ++s) {
-    int users = 0;
-    for (const auto& p : placements) {
-      if (s < static_cast<int>(p.mask.cores_per_socket.size()) &&
-          p.mask.cores_per_socket[s] > 0) {
-        ++users;
-      }
-    }
-    if (users > 1) return false;
-  }
-  return true;
 }
 
 }  // namespace sdsched

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "cluster/node.h"
 #include "drom/drom.h"
@@ -19,20 +18,13 @@ struct CpuDemand {
   int cpus = 0;
 };
 
-struct CpuPlacement {
-  JobId job = kInvalidJob;
-  CpuMask mask;
-};
-
 /// Distribute the demanded cores over the node's sockets. Total demand must
-/// not exceed the node's capacity. Jobs are placed largest-first; each
-/// prefers the emptiest socket and spills to the next when a socket fills.
-/// Deterministic; returns one placement per input demand.
-[[nodiscard]] std::vector<CpuPlacement> distribute_cpu(const NodeConfig& node,
-                                                       std::span<const CpuDemand> demands);
-
-/// True when no socket hosts more than one job (perfect isolation).
-[[nodiscard]] bool socket_isolated(const NodeConfig& node,
-                                   std::span<const CpuPlacement> placements);
+/// not exceed the node's capacity. Sorts `demands` into placement order —
+/// largest first, ties by job id — and writes the mask of demands[i] (as
+/// sorted) to masks[i], which must be as long; each job prefers the emptiest
+/// socket and spills to the next when a socket fills. Deterministic and
+/// allocation-free.
+void distribute_cpu(const NodeConfig& node, std::span<CpuDemand> demands,
+                    std::span<CpuMask> masks);
 
 }  // namespace sdsched

@@ -24,16 +24,13 @@ void erase_id(std::vector<JobId>& ids, JobId id) {
 
 void NodeManager::refresh_masks(int node_id) {
   const Node& node = machine_.node(node_id);
-  std::vector<CpuDemand> demands;
-  demands.reserve(node.occupant_count());
-  for (const auto& occ : node.occupants()) {
-    demands.push_back(CpuDemand{occ.job, occ.cpus});
-  }
-  const NodeConfig config{node.sockets(), node.cores_per_socket()};
-  const auto placements = distribute_cpu(config, demands);
-  for (const auto& placement : placements) {
-    if (!drom_.set_mask(placement.job, node_id, placement.mask)) {
-      drom_.attach(placement.job, node_id, placement.mask);
+  demands_.clear();
+  for (const auto& occ : node.occupants()) demands_.push_back(CpuDemand{occ.job, occ.cpus});
+  masks_.resize(demands_.size());
+  distribute_cpu(NodeConfig{node.sockets(), node.cores_per_socket()}, demands_, masks_);
+  for (std::size_t i = 0; i < demands_.size(); ++i) {
+    if (!drom_.set_mask(demands_[i].job, node_id, masks_[i])) {
+      drom_.attach(demands_[i].job, node_id, masks_[i]);
     }
   }
 }

@@ -16,6 +16,9 @@
 // Every mutation keeps three views consistent: Machine occupancy, Job.shares
 // and the DROM masks. Methods return the set of jobs whose core counts
 // changed so the simulation kernel can re-integrate their progress.
+// Re-deriving a node's masks allocates nothing once warm: demands and masks
+// go through member scratch vectors, and DROM updates the node's slots in
+// place. Exclusive and shared nodes take the same path.
 #pragma once
 
 #include <vector>
@@ -52,11 +55,9 @@ class NodeManager {
   /// allocation changed (excluding the finished job itself).
   std::vector<JobId> finish_job(SimTime now, JobId job);
 
-  [[nodiscard]] const DromRegistry& drom() const noexcept { return drom_; }
-
  private:
   /// Recompute socket masks for every occupant of `node_id` (Listing 3
-  /// step 1) and push them through the DROM registry.
+  /// step 1) into demands_/masks_ and push them through the DROM registry.
   void refresh_masks(int node_id);
 
   /// Grow `job`'s share on `node_id` up to min(static share, available).
@@ -66,6 +67,8 @@ class NodeManager {
   Machine& machine_;
   JobRegistry& jobs_;
   DromRegistry& drom_;
+  std::vector<CpuDemand> demands_;  ///< refresh_masks scratch, placement order
+  std::vector<CpuMask> masks_;      ///< the mask placed for each of demands_
 };
 
 }  // namespace sdsched

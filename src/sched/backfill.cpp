@@ -33,8 +33,9 @@ ReservationProfile& BackfillScheduler::pass_profile(SimTime now) {
   if (profile_valid_ && profile_version_ == cluster_index_->version() &&
       profile_.first_release_time() > now) {
     // Nothing changed since the last pass and no release crossed `now`:
-    // the base snapshot is still exact. Restore the working copy from it.
-    profile_.clear_overlay();
+    // the base snapshot is still exact. Restore the working copy from it,
+    // its origin moved up to `now` as a fresh snapshot would have it.
+    profile_.reuse_base(now);
     ++profile_reuses_;
     return profile_;
   }

@@ -41,6 +41,15 @@ void ReservationProfile::clear_overlay() {
   }
 }
 
+void ReservationProfile::reuse_base(SimTime now) {
+  assert(now < first_release_time());
+  if (!base_.empty()) {
+    assert(base_[0].time <= now);
+    base_[0].time = now;
+  }
+  clear_overlay();
+}
+
 std::size_t ReservationProfile::step_at(SimTime t) const noexcept {
   // times_[0] is the minimum SimTime, so the upper bound is never begin().
   const auto it = std::upper_bound(times_.begin() + 1, times_.end(), t);

@@ -7,7 +7,8 @@
 //  * the **base snapshot** — flat, sorted, cumulative free-count steps
 //    describing the running jobs' predicted releases. Installed via
 //    set_base() from the ClusterStateIndex and *reused* across passes while
-//    the cluster is unchanged;
+//    the cluster is unchanged (reuse_base() moves its origin up to the new
+//    pass time);
 //  * the **working profile** — contiguous time / free-count arrays (a
 //    leading sentinel step covers everything before the first breakpoint)
 //    that the current pass edits in place with reserve()/release().
@@ -47,6 +48,13 @@ class ReservationProfile {
   /// Drop the pass's own reservations: the working profile becomes a copy
   /// of the base snapshot again.
   void clear_overlay();
+
+  /// Reuse the base for a pass at `now` (origin <= now <
+  /// first_release_time()): move its origin step up to `now`, which is
+  /// exact because no base step lies in between, then clear_overlay(). The
+  /// working profile then equals a snapshot taken at `now` step for step,
+  /// so a window starting at `now` splits no extra step.
+  void reuse_base(SimTime now);
 
   /// Remove `nodes` of availability over [start, end). end may be kForever.
   /// Callers reserve only what earliest_start() said was free.

@@ -1,6 +1,9 @@
 #include "cluster/machine.h"
 
 #include <algorithm>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,11 @@ Machine make_machine(int nodes = 4) {
   config.nodes = nodes;
   config.node = NodeConfig{2, 24};
   return Machine(config);
+}
+
+/// A job's end: remove it from each listed node.
+void release(Machine& machine, SimTime now, JobId job, const std::vector<int>& node_ids) {
+  for (const int id : node_ids) (void)machine.remove_share(now, job, id);
 }
 
 TEST(Machine, InitialGeometry) {
@@ -71,7 +79,7 @@ TEST(Machine, SharesAndRelease) {
   EXPECT_EQ(machine.remove_share(20, 2, 0), 24);
   EXPECT_EQ(machine.busy_cores(), 24);
   EXPECT_EQ(machine.free_node_count(), 1);  // owner still there
-  machine.release_all(30, 1, {0});
+  release(machine, 30, 1, {0});
   EXPECT_EQ(machine.free_node_count(), 2);
   EXPECT_EQ(machine.busy_cores(), 0);
 }
@@ -79,7 +87,7 @@ TEST(Machine, SharesAndRelease) {
 TEST(Machine, CoreSecondsIntegration) {
   Machine machine = make_machine(1);
   machine.allocate_exclusive(0, 1, {0}, {48});
-  machine.release_all(100, 1, {0});
+  release(machine, 100, 1, {0});
   machine.finalize_energy(100);
   EXPECT_DOUBLE_EQ(machine.core_seconds(), 4800.0);
 }
@@ -92,7 +100,7 @@ TEST(Machine, EnergyAccumulatesIdleAndBusy) {
   config.energy.watts_per_busy_core = 2.0;
   Machine machine(config);
   machine.allocate_exclusive(0, 1, {0}, {48});
-  machine.release_all(50, 1, {0});
+  release(machine, 50, 1, {0});
   machine.finalize_energy(100);
   // [0,50): 2 nodes idle draw + 48 busy cores; [50,100): idle only.
   const double expected = (2 * 100.0 + 48 * 2.0) * 50 + (2 * 100.0) * 50;
@@ -121,7 +129,7 @@ void apply_ops(Machine& machine, const std::vector<AllocOp>& ops, SimTime end) {
         ASSERT_TRUE(machine.allocate_exclusive(op.time, op.job, op.nodes, op.cpus));
         break;
       case AllocOp::Kind::Release:
-        machine.release_all(op.time, op.job, op.nodes);
+        release(machine, op.time, op.job, op.nodes);
         break;
       case AllocOp::Kind::AddShare:
         ASSERT_TRUE(machine.add_share(op.time, op.job, op.nodes[0], op.cpus[0], op.owner));
@@ -227,10 +235,100 @@ TEST(Machine, BackdatedSharedNodeChurnMatchesForwardReplay) {
 TEST(Machine, FreedNodeIsReusable) {
   Machine machine = make_machine(1);
   machine.allocate_exclusive(0, 1, {0}, {48});
-  machine.release_all(10, 1, {0});
+  release(machine, 10, 1, {0});
   const auto nodes = machine.find_free_nodes(1);
   ASSERT_TRUE(nodes.has_value());
   EXPECT_TRUE(machine.allocate_exclusive(10, 2, *nodes, {48}));
+}
+
+// Out-of-range node shapes are rejected with the field and the value named,
+// before any mask could be sized from them.
+void expect_rejected(int nodes, int sockets, int cores_per_socket, const std::string& field,
+                     const std::string& value) {
+  MachineConfig config;
+  config.nodes = nodes;
+  config.node = NodeConfig{sockets, cores_per_socket};
+  try {
+    const Machine machine(config);
+    ADD_FAILURE() << "accepted " << field << " = " << value;
+  } catch (const std::invalid_argument& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find("got " + value), std::string::npos) << what;
+  }
+}
+
+TEST(Machine, RejectsNodeWithoutSockets) { expect_rejected(4, 0, 24, "node.sockets", "0"); }
+
+TEST(Machine, RejectsMoreSocketsThanTheInlineMaskHolds) {
+  expect_rejected(4, kMaxSockets + 1, 24, "node.sockets", std::to_string(kMaxSockets + 1));
+  // The limit itself is a valid shape.
+  MachineConfig widest;
+  widest.node = NodeConfig{kMaxSockets, 2};
+  EXPECT_EQ(Machine(widest).cores_per_node(), 2 * kMaxSockets);
+}
+
+TEST(Machine, RejectsSocketsWithoutCores) {
+  expect_rejected(4, 2, 0, "node.cores_per_socket", "0");
+  expect_rejected(4, 2, -3, "node.cores_per_socket", "-3");
+}
+
+TEST(Machine, RejectsMachineWithoutNodes) { expect_rejected(0, 2, 24, "nodes", "0"); }
+
+// The free-node count is kept incrementally from emptiness flips; under
+// random churn — exclusive starts, shares added, resized and removed,
+// removals of jobs a node does not hold, releases over nodes the job left
+// already, and calls backdated behind the accounting frontier — it must
+// always equal a scan of the nodes.
+TEST(Machine, FreeNodeCountMatchesNodeScanUnderChurn) {
+  constexpr int kNodes = 12;
+  Machine machine = make_machine(kNodes);
+  std::mt19937 rng(20261019);
+  const auto pick = [&rng](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+  std::vector<std::vector<int>> held(9);  // nodes each job (1..8) was placed on
+  SimTime now = 0;
+  for (int step = 0; step < 4000; ++step) {
+    // One call in four is backdated behind the frontier.
+    const SimTime at = pick(4) == 0 ? now - pick(500) : (now += pick(50));
+    const auto job = static_cast<JobId>(1 + pick(8));
+    const int node_id = pick(kNodes);
+    const Node& node = machine.node(node_id);
+    switch (pick(5)) {
+      case 0: {  // exclusive start on up to three free nodes
+        const auto nodes = machine.find_free_nodes(1 + pick(3));
+        if (!nodes || !held[job].empty()) break;
+        ASSERT_TRUE(machine.allocate_exclusive(at, job, *nodes,
+                                               std::vector<int>(nodes->size(), 1 + pick(48))));
+        held[job] = *nodes;
+        break;
+      }
+      case 1:  // share: fails (no change) on overcommit or a job already there
+        if (machine.add_share(at, job, node_id, 1 + pick(24), node.empty())) {
+          held[job].push_back(node_id);
+        }
+        break;
+      case 2:
+        if (node.holds(job)) {
+          ASSERT_TRUE(machine.resize_share(at, job, node_id,
+                                           1 + pick(node.free_cores() +
+                                                    node.occupant(job)->cpus)));
+        }
+        break;
+      case 3: {  // may name a job the node does not hold: frees nothing
+        const bool had = node.holds(job);
+        EXPECT_EQ(machine.remove_share(at, job, node_id) > 0, had);
+        break;
+      }
+      default:  // releases over every node ever held, even ones since left
+        release(machine, at, job, held[job]);
+        held[job].clear();
+        break;
+    }
+    int scanned = 0;
+    for (int id = 0; id < kNodes; ++id) scanned += machine.node(id).empty() ? 1 : 0;
+    ASSERT_EQ(machine.free_node_count(), scanned) << "after step " << step;
+    ASSERT_EQ(machine.occupied_nodes(), kNodes - scanned);
+  }
 }
 
 }  // namespace

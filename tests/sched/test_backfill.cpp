@@ -539,10 +539,12 @@ TEST(EstMemoTest, PassesAfterAFinishOrAStaticStartRecordNoHits) {
   EXPECT_EQ(pass_and_compare(world, 960), 2u);
 }
 
-TEST(EstMemoTest, MalleableStartEndsReuseForTheRestOfThePass) {
-  MemoWorld world(eight_nodes(), SchedConfig{});
+/// The malleable-start shape: X asks for the whole machine but can also
+/// start shrunk on one node, and Y waits behind it. A second pass at
+/// `second` (another arrival, Z) reuses the base built at t=1 and starts X
+/// shrunk.
+void malleable_start_reuse_pass(MemoWorld& world, SimTime second) {
   world.run(0, 6, 1000);
-  // X asks for the whole machine but can also start shrunk on one node.
   JobSpec shrinkable = spec_of(0, 500, 500, 48, 48);
   shrinkable.req_nodes = 8;
   const JobId x = world.cluster.jobs.add(shrinkable);
@@ -552,18 +554,33 @@ TEST(EstMemoTest, MalleableStartEndsReuseForTheRestOfThePass) {
   // Y cannot run before X's whole-machine reservation ends.
   EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
                                      {x, 1000}, {y, 1500}}));
-  // A second pass at the same instant (another arrival) starts X shrunk:
   // X's remembered estimate is taken, but Y's is not — with X gone from
-  // the queue, Y can start once X's single node frees at 501.
+  // the queue, Y can start once X's single node frees 500 s later.
   world.sched.shrink_start = x;
-  const JobId z = world.queue(8, 100, 1);
-  EXPECT_EQ(pass_and_compare(world, 1), 1u);
+  const JobId z = world.queue(8, 100, second);
+  EXPECT_EQ(pass_and_compare(world, second), 1u) << "second pass at t=" << second;
+  EXPECT_EQ(world.sched.profile_reuses(), 1u);
   EXPECT_EQ(world.executor.static_starts, std::vector<JobId>{x});
   EXPECT_EQ(world.sched.offered, (std::vector<std::pair<JobId, SimTime>>{
-                                     {x, 1000}, {y, 501}, {z, 1701}}));
+                                     {x, 1000}, {y, second + 500}, {z, second + 1700}}));
+  // The reused base's origin moves up to the pass time, so X's window
+  // starting there splits no extra step: like the fresh scheduler's, the
+  // profile holds the base's origin and release plus the ends of X, Y and Z.
+  EXPECT_EQ(world.sched.profile_breakpoints(), 5u) << "second pass at t=" << second;
+}
+
+TEST(EstMemoTest, MalleableStartEndsReuseForTheRestOfThePass) {
+  MemoWorld world(eight_nodes(), SchedConfig{});
+  malleable_start_reuse_pass(world, 1);
   // X's start changed the cluster: nothing is remembered over the new base.
   EXPECT_EQ(pass_and_compare(world, 2), 0u);
   EXPECT_EQ(pass_and_compare(world, 32), 2u);
+}
+
+TEST(EstMemoTest, ReusedBaseStartsAtThePassTimeLikeAFreshOne) {
+  // The reuse pass comes one second after the pass that built the base.
+  MemoWorld world(eight_nodes(), SchedConfig{});
+  malleable_start_reuse_pass(world, 2);
 }
 
 TEST(EstMemoTest, SmallerArrivalStopsReuseFromItsPosition) {

@@ -2,7 +2,6 @@
 // path (directly or via on_node_occupancy_changed), reads don't count as
 // mutations, and constructor init-lists with paren initializers parse.
 // Analyzed under the fake path "cluster/machine.cpp"; never compiled.
-#include <set>
 #include <utility>
 
 namespace fixture {
@@ -17,29 +16,30 @@ class Machine {
       : config_(std::move(config)), spare_(config_.nodes) {
     // Mutation with notify in the same body: fine without a waiver.
     for (int i = 0; i < config_.nodes; ++i) {
-      free_nodes_.insert(i);
+      ++free_node_count_;
       notify(i);
     }
   }
 
   bool allocate(int node_id, int cpus) {
     busy_cores_ += cpus;
-    free_nodes_.erase(node_id);
+    free_node_count_ -= 1;
     notify(node_id);
     return true;
   }
 
   // Reads are not mutations: no finding, no waiver needed.
-  int free_count() const { return static_cast<int>(free_nodes_.size()); }
+  int free_count() const { return free_node_count_; }
   int busy_cores() const { return busy_cores_; }
-  bool is_free(int node_id) const { return free_nodes_.count(node_id) > 0; }
+  bool any_free() const { return free_node_count_ > 0 && free_node_count_ != spare_; }
+  bool none_free() const { return free_node_count_ == 0; }
 
  private:
   void notify(int node_id) { (void)node_id; }
 
   Config config_;
   int spare_ = 0;
-  std::set<int> free_nodes_;
+  int free_node_count_ = 0;
   int busy_cores_ = 0;
 };
 

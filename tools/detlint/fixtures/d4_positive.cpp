@@ -2,15 +2,15 @@
 // MachineObserver notify path, so a subscribed ClusterStateIndex /
 // FreeNodeIndex would silently go stale. Analyzed under the fake path
 // "cluster/machine.cpp" (the rule's scope); never compiled.
-#include <set>
 
 namespace fixture {
 
 class Machine {
  public:
-  // finding: mutates free_nodes_ without notify
+  // finding: decrements free_node_count_ without notify
   void mark_busy(int node_id) {
-    free_nodes_.erase(node_id);
+    --free_node_count_;
+    (void)node_id;
   }
 
   // finding: writes busy_cores_ without notify
@@ -23,18 +23,18 @@ class Machine {
 
   // finding: calls the sync helper without notify
   void quiet_release(int node_id) {
-    sync_free_state(node_id);
+    sync_free_state(node_id, false);
   }
 
  private:
-  // finding: the helper itself mutates free_nodes_ and cannot notify
-  void sync_free_state(int node_id) {
-    free_nodes_.insert(node_id);
+  // finding: the helper itself writes free_node_count_ and cannot notify
+  void sync_free_state(int node_id, bool was_empty) {
+    free_node_count_ += static_cast<int>(was_empty) - node_id;
   }
 
   void notify(int node_id) { (void)node_id; }
 
-  std::set<int> free_nodes_;
+  int free_node_count_ = 0;
   int busy_cores_ = 0;
 };
 

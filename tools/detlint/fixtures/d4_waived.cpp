@@ -3,7 +3,6 @@
 // the real machine.cpp waivers (constructor and sync_free_state). Analyzed
 // under the fake path "cluster/machine.cpp"; never compiled. (Prose must
 // not spell the waiver marker verbatim — it would scan as a stale waiver.)
-#include <set>
 
 namespace fixture {
 
@@ -11,22 +10,22 @@ class Machine {
  public:
   // detlint: mutator-ok(construction precedes any observer attachment)
   explicit Machine(int nodes) {
-    for (int i = 0; i < nodes; ++i) free_nodes_.insert(i);
+    free_node_count_ = nodes;
   }
 
   void release(int node_id) {
-    sync_free_state(node_id);
+    sync_free_state(node_id, false);
     notify(node_id);
   }
 
  private:
-  void sync_free_state(int node_id) {  // detlint: mutator-ok(callers notify)
-    free_nodes_.insert(node_id);
+  void sync_free_state(int node_id, bool was_empty) {  // detlint: mutator-ok(callers notify)
+    free_node_count_ += static_cast<int>(was_empty) - node_id;
   }
 
   void notify(int node_id) { (void)node_id; }
 
-  std::set<int> free_nodes_;
+  int free_node_count_ = 0;
 };
 
 }  // namespace fixture

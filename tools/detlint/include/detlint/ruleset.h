@@ -83,8 +83,8 @@ inline constexpr const char* kRttiTokens[] = {
 /// D4: occupancy-mutation markers. A function body in the D4 scope that
 /// contains one of these must also reference the notify path below.
 inline constexpr const char* kOccupancyMutationMembers[] = {
-    "free_nodes_",  // mutating member calls: .insert/.erase/.clear
-    "busy_cores_",  // assignment / compound assignment / inc / dec
+    "free_node_count_",  // assignment / compound assignment / inc / dec
+    "busy_cores_",       // likewise
 };
 inline constexpr const char* kOccupancyMutationCalls[] = {
     "sync_free_state",

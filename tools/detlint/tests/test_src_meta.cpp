@@ -36,8 +36,9 @@ TEST(DetlintSrcMeta, NoUnwaivedFindingsInSrc) {
 }
 
 TEST(DetlintSrcMeta, KnownWaiversAreStillPresentAndUsed) {
-  // The audited machine.cpp sites: construction seeds free_nodes_ before an
-  // observer can exist, and sync_free_state is the notify path's own helper.
+  // The audited machine.cpp sites: construction seeds the free-node count
+  // before an observer can exist, and sync_free_state is the notify path's
+  // own helper.
   // If these waivers disappear the analyzer must have flagged the functions
   // (caught above) or the code moved — either way this inventory is stale
   // and should be updated alongside docs/determinism.md.
