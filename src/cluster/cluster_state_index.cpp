@@ -10,10 +10,10 @@ ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
     : machine_(machine), jobs_(jobs) {
   const int nodes = machine_.node_count();
   node_free_at_.assign(static_cast<std::size_t>(nodes), kEmptyNode);
-  node_class_.resize(static_cast<std::size_t>(nodes));
+  std::vector<int> node_class(static_cast<std::size_t>(nodes));
 
   // Group nodes by attribute signature: attributes are static, so the
-  // partition is built once and only the free counts move afterwards.
+  // partition is built once and handed to the FreeNodeIndex, which owns it.
   for (int id = 0; id < nodes; ++id) {
     const NodeAttributes& attrs = machine_.node(id).attributes();
     int cls = -1;
@@ -25,15 +25,14 @@ ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
     }
     if (cls < 0) {
       cls = static_cast<int>(classes_.size());
-      classes_.push_back(AttrClass{attrs, 0, 0, {}});
+      classes_.push_back(AttrClass{attrs, 0, {}});
     }
-    node_class_[static_cast<std::size_t>(id)] = cls;
+    node_class[static_cast<std::size_t>(id)] = cls;
     ++classes_[static_cast<std::size_t>(cls)].total;
-    ++classes_[static_cast<std::size_t>(cls)].free;
   }
   all_classes_.resize(classes_.size());
   for (std::size_t c = 0; c < classes_.size(); ++c) all_classes_[c] = static_cast<int>(c);
-  free_runs_ = FreeNodeIndex(node_class_, static_cast<int>(classes_.size()));
+  free_runs_ = FreeNodeIndex(std::move(node_class), static_cast<int>(classes_.size()));
 
   // Index whatever is already running (warm-start scenarios attach to a
   // populated machine).
@@ -58,34 +57,21 @@ void ClusterStateIndex::refresh_node(int node_id) {
   SimTime& slot = node_free_at_[static_cast<std::size_t>(node_id)];
   if (free_at == slot) return;
 
-  AttrClass& cls = classes_[static_cast<std::size_t>(
-      node_class_[static_cast<std::size_t>(node_id)])];
-  if (slot != kEmptyNode) {
-    const auto it = busy_counts_.find(slot);
-    assert(it != busy_counts_.end() && "indexed free_at missing from busy_counts");
-    if (it != busy_counts_.end() && --it->second == 0) busy_counts_.erase(it);
-    const auto cit = cls.busy.find(slot);
-    assert(cit != cls.busy.end() && "indexed free_at missing from class busy map");
-    if (cit != cls.busy.end() && --cit->second == 0) cls.busy.erase(cit);
-    --occupied_nodes_;
-    ++cls.free;
+  // A release-time move updates the class's busy map; an emptiness flip
+  // sets or clears the node's bit (O(1) word maintenance) in its place.
+  std::map<SimTime, int>& busy =
+      classes_[static_cast<std::size_t>(free_runs_.class_of(node_id))].busy;
+  if (slot == kEmptyNode) {
+    free_runs_.erase(node_id);
+  } else {
+    const auto it = busy.find(slot);
+    assert(it != busy.end() && "indexed free_at missing from class busy map");
+    if (it != busy.end() && --it->second == 0) busy.erase(it);
   }
-  if (free_at != kEmptyNode) {
-    ++busy_counts_[free_at];
-    ++cls.busy[free_at];
-    ++occupied_nodes_;
-    --cls.free;
-  }
-  // The free-node bitmap cares only about emptiness flips, not about a
-  // busy node's release time moving — each flip is O(1) word maintenance.
-  const bool was_free = slot == kEmptyNode;
-  const bool now_free = free_at == kEmptyNode;
-  if (was_free != now_free) {
-    if (now_free) {
-      free_runs_.insert(node_id);
-    } else {
-      free_runs_.erase(node_id);
-    }
+  if (free_at == kEmptyNode) {
+    free_runs_.insert(node_id);
+  } else {
+    ++busy[free_at];
   }
   slot = free_at;
   ++version_;
@@ -105,14 +91,45 @@ void ClusterStateIndex::on_predicted_end_changed(JobId job) {
 
 void ClusterStateIndex::busy_groups(SimTime now,
                                     std::vector<std::pair<SimTime, int>>& out) const {
+  merge_busy_groups(/*all_classes=*/true, 0, now, out);
+}
+
+void ClusterStateIndex::busy_groups_for_mask(
+    std::uint64_t mask, SimTime now, std::vector<std::pair<SimTime, int>>& out) const {
+  merge_busy_groups(/*all_classes=*/false, mask, now, out);
+}
+
+void ClusterStateIndex::merge_busy_groups(bool all_classes, std::uint64_t mask, SimTime now,
+                                          std::vector<std::pair<SimTime, int>>& out) const {
   out.clear();
-  // Overdue occupants (free_at <= now): assume imminent completion at now+1,
-  // exactly as the full-scan profile build always did.
-  auto it = busy_counts_.begin();
-  int overdue = 0;
-  for (; it != busy_counts_.end() && it->first <= now + 1; ++it) overdue += it->second;
-  if (overdue > 0) out.emplace_back(now + 1, overdue);
-  for (; it != busy_counts_.end(); ++it) out.emplace_back(it->first, it->second);
+  int merged = 0;
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    if (!all_classes && (c >= 64 || ((mask >> c) & 1u) == 0)) continue;
+    ++merged;
+    for (const auto& [free_at, nodes] : classes_[c].busy) {
+      // Overdue occupants (free_at <= now): assume imminent completion at
+      // now+1, exactly as the full-scan profile build always did.
+      const SimTime at = std::max(free_at, now + 1);
+      if (!out.empty() && out.back().first == at) {
+        out.back().second += nodes;
+      } else {
+        out.emplace_back(at, nodes);
+      }
+    }
+  }
+  // One class's map is already ascending; several are concatenated, so
+  // sort them and coalesce equal release times.
+  if (merged <= 1) return;
+  std::sort(out.begin(), out.end());
+  std::size_t kept = 0;
+  for (const auto& group : out) {
+    if (kept > 0 && out[kept - 1].first == group.first) {
+      out[kept - 1].second += group.second;
+    } else {
+      out[kept++] = group;
+    }
+  }
+  out.resize(kept);
 }
 
 int ClusterStateIndex::eligible_node_count(const JobConstraints& constraints) const {
@@ -124,35 +141,35 @@ int ClusterStateIndex::eligible_node_count(const JobConstraints& constraints) co
   return eligible;
 }
 
-int ClusterStateIndex::eligible_free_count(const JobConstraints& constraints) const {
-  if (constraints.unconstrained()) return machine_.free_node_count();
-  int free = 0;
-  for (const AttrClass& cls : classes_) {
-    if (node_satisfies(cls.attributes, constraints)) free += cls.free;
-  }
-  return free;
-}
-
 std::optional<std::vector<int>> ClusterStateIndex::find_free_nodes(
     int count, const JobConstraints* constraints) const {
   assert(count >= 1);
   // Mirror Machine::find_free_nodes' early-outs exactly: global free count
   // first, then the eligible-free count for constrained requests.
-  if (count > free_runs_.free_count()) return std::nullopt;
-  if (constraints == nullptr || constraints->unconstrained()) {
-    return free_runs_.pick(count, all_classes_, /*contiguous=*/false);
-  }
-  std::vector<int> eligible;
-  eligible.reserve(classes_.size());
-  int eligible_free = 0;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (node_satisfies(classes_[c].attributes, *constraints)) {
-      eligible.push_back(static_cast<int>(c));
-      eligible_free += classes_[c].free;
+  std::optional<std::vector<int>> picked;
+  if (count <= free_runs_.free_count()) {
+    if (constraints == nullptr || constraints->unconstrained()) {
+      picked = free_runs_.pick(count, all_classes_, /*contiguous=*/false);
+    } else {
+      std::vector<int> eligible;
+      eligible.reserve(classes_.size());
+      int eligible_free = 0;
+      for (std::size_t c = 0; c < classes_.size(); ++c) {
+        if (node_satisfies(classes_[c].attributes, *constraints)) {
+          eligible.push_back(static_cast<int>(c));
+          eligible_free += free_runs_.free_count_of_class(static_cast<int>(c));
+        }
+      }
+      if (eligible_free >= count) {
+        picked = free_runs_.pick(count, eligible, constraints->contiguous);
+      }
     }
   }
-  if (eligible_free < count) return std::nullopt;
-  return free_runs_.pick(count, eligible, constraints->contiguous);
+#ifdef SDSCHED_INDEX_CROSSCHECK
+  assert(picked == machine_.find_free_nodes(count, constraints) &&
+         "bitmap index pick diverged from the machine scan");
+#endif
+  return picked;
 }
 
 std::uint64_t ClusterStateIndex::eligible_class_mask(
@@ -173,33 +190,12 @@ int ClusterStateIndex::node_count_for_mask(std::uint64_t mask) const {
   return total;
 }
 
-void ClusterStateIndex::busy_groups_for_mask(
-    std::uint64_t mask, SimTime now, std::vector<std::pair<SimTime, int>>& out) const {
-  out.clear();
-  // Merge the selected classes' (free_at -> count) maps, then clamp exactly
-  // as busy_groups() does. Constrained jobs are rare, so a transient merge
-  // map is fine here.
-  std::map<SimTime, int> merged;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (((mask >> c) & 1u) == 0) continue;
-    for (const auto& [free_at, nodes] : classes_[c].busy) merged[free_at] += nodes;
-  }
-  auto it = merged.begin();
-  int overdue = 0;
-  for (; it != merged.end() && it->first <= now + 1; ++it) overdue += it->second;
-  if (overdue > 0) out.emplace_back(now + 1, overdue);
-  for (; it != merged.end(); ++it) out.emplace_back(it->first, it->second);
-}
-
 bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
   const auto fail = [diagnosis](const std::string& what) {
     if (diagnosis != nullptr) *diagnosis = what;
     return false;
   };
 
-  std::map<SimTime, int> expect_counts;
-  int expect_occupied = 0;
-  std::vector<int> expect_class_free(classes_.size(), 0);
   std::vector<std::map<SimTime, int>> expect_class_busy(classes_.size());
   std::vector<bool> is_free(static_cast<std::size_t>(machine_.node_count()), false);
   for (int id = 0; id < machine_.node_count(); ++id) {
@@ -210,36 +206,21 @@ bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
           << node_free_at_[static_cast<std::size_t>(id)] << " != scanned " << expect;
       return fail(oss.str());
     }
-    const int cls = node_class_[static_cast<std::size_t>(id)];
     if (expect == kEmptyNode) {
-      ++expect_class_free[static_cast<std::size_t>(cls)];
       is_free[static_cast<std::size_t>(id)] = true;
     } else {
-      ++expect_counts[expect];
-      ++expect_class_busy[static_cast<std::size_t>(cls)][expect];
-      ++expect_occupied;
+      ++expect_class_busy[static_cast<std::size_t>(free_runs_.class_of(id))][expect];
     }
-  }
-  if (busy_counts_ != expect_counts) return fail("busy_counts diverged from node scan");
-  if (occupied_nodes_ != expect_occupied) return fail("occupied_nodes diverged");
-  if (occupied_nodes_ != machine_.occupied_nodes()) {
-    return fail("occupied_nodes diverged from machine");
   }
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    if (classes_[c].free != expect_class_free[c]) {
-      std::ostringstream oss;
-      oss << "attribute class " << c << ": indexed free " << classes_[c].free
-          << " != scanned " << expect_class_free[c];
-      return fail(oss.str());
-    }
     if (classes_[c].busy != expect_class_busy[c]) {
       std::ostringstream oss;
       oss << "attribute class " << c << ": busy map diverged from node scan";
       return fail(oss.str());
     }
   }
-  // Free-node bitmap: bit-level + summary-invariant check, plus the derived
-  // run view against the node scan.
+  // Free-node bitmap: bit-level + summary-invariant + cached-count check,
+  // plus the derived run view against the node scan.
   std::string runs_diag;
   if (!free_runs_.check_consistent(is_free, &runs_diag)) return fail(runs_diag);
   if (free_runs_.free_count() != machine_.free_node_count()) {
@@ -256,20 +237,6 @@ bool ClusterStateIndex::check_consistent(std::string* diagnosis) const {
     }
   }
   return true;
-}
-
-std::optional<std::vector<int>> pick_free_nodes(const Machine& machine,
-                                                const ClusterStateIndex& index, int count,
-                                                const JobConstraints* constraints) {
-#ifdef SDSCHED_INDEX_CROSSCHECK
-  const auto indexed = index.find_free_nodes(count, constraints);
-  const auto scanned = machine.find_free_nodes(count, constraints);
-  assert(indexed == scanned && "bitmap index pick diverged from the machine scan");
-  return indexed;
-#else
-  (void)machine;
-  return index.find_free_nodes(count, constraints);
-#endif
 }
 
 }  // namespace sdsched

@@ -9,14 +9,13 @@
 //
 //  * per-node `free_at` — the latest predicted end among the node's
 //    occupants (the time backfill's reservation profile expects the node
-//    back), plus a sorted (free_at -> node count) map over occupied nodes
-//    from which a ReservationProfile base snapshot is assembled in
-//    O(distinct release times);
-//  * per-attribute-class eligible/free node counts, making constraint
-//    filtering (§3.2.4) O(classes) instead of O(nodes);
-//  * per-attribute-class (free_at -> node count) maps, from which the
-//    per-class reservation-profile layers (constraint-class-aware earliest
-//    starts for constrained jobs) are assembled via busy_groups_for_mask();
+//    back);
+//  * the attribute-class partition (§3.2.4 constraint filtering in
+//    O(classes) instead of O(nodes)): each class's attributes, node total
+//    and (free_at -> occupied node count) map. busy_groups() and
+//    busy_groups_for_mask() merge those maps into ReservationProfile base
+//    snapshots — O(distinct release times) for one class, plus a sort
+//    when several classes are merged;
 //  * a class-partitioned bitmap FreeNodeIndex over free node ids (64 nodes
 //    per word plus a summary level), so free/busy flips are O(1) bit
 //    maintenance and find_free_nodes — called from the scheduling pass on
@@ -25,13 +24,16 @@
 //  * a version counter, so schedulers can reuse their profile base across
 //    passes when nothing changed.
 //
+// Quantities another layer already owns are not copied here: the node ->
+// class map and the free counts (total and per class) are the
+// FreeNodeIndex's, and the occupied-node count is Machine::occupied_nodes().
+//
 // check_consistent() cross-checks everything against the brute-force node
 // scan the index replaced; compile with SDSCHED_INDEX_CROSSCHECK (the asan
 // preset does) to run it on every scheduling pass — the free-node check
 // covers every bitmap bit, the summary invariant, and the derived run view
-// against the node scan (see free_node_index.h), and pick_free_nodes()
-// additionally compares every indexed free-node pick against the machine
-// scan.
+// against the node scan (see free_node_index.h) — and to compare every
+// find_free_nodes() pick against the machine scan.
 #pragma once
 
 #include <cstdint>
@@ -87,15 +89,12 @@ class ClusterStateIndex final : public MachineObserver {
   /// Nodes (free or busy) satisfying `constraints` — O(attribute classes).
   [[nodiscard]] int eligible_node_count(const JobConstraints& constraints) const;
 
-  /// Free nodes satisfying `constraints` — O(attribute classes).
-  [[nodiscard]] int eligible_free_count(const JobConstraints& constraints) const;
-
-  [[nodiscard]] int occupied_node_count() const noexcept { return occupied_nodes_; }
-
   /// Drop-in indexed replacement for Machine::find_free_nodes: same node
   /// ids (lowest-first; earliest adequate run for contiguous requests),
   /// but resolved from the bitmap words — O(words/64 + words touched)
-  /// worst case instead of O(free nodes). `count` must be >= 1.
+  /// worst case instead of O(free nodes). The single pick point schedulers
+  /// and the MateSelector share; under SDSCHED_INDEX_CROSSCHECK every pick
+  /// is compared against the machine scan. `count` must be >= 1.
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
@@ -118,27 +117,29 @@ class ClusterStateIndex final : public MachineObserver {
   void busy_groups_for_mask(std::uint64_t mask, SimTime now,
                             std::vector<std::pair<SimTime, int>>& out) const;
 
-  /// The class-partitioned free-node bitmap (tests).
-  [[nodiscard]] const FreeNodeIndex& free_runs() const noexcept { return free_runs_; }
-
   /// Cross-check every indexed quantity against a full scan of the machine
   /// and registry. On mismatch returns false and, if given, fills
   /// `diagnosis` with the first divergence found.
   [[nodiscard]] bool check_consistent(std::string* diagnosis = nullptr) const;
 
  private:
-  /// Recompute one node's free_at and class/free bookkeeping; bumps the
+  /// Recompute one node's free_at and its class's busy map; bumps the
   /// version only when something actually changed.
   void refresh_node(int node_id);
 
   [[nodiscard]] SimTime scan_free_at(int node_id) const;
+
+  /// The busy maps of every class (`all_classes`) or of the classes in
+  /// `mask`, merged into ascending release groups with overdue occupants
+  /// clamped to now + 1. Serves both busy-group queries.
+  void merge_busy_groups(bool all_classes, std::uint64_t mask, SimTime now,
+                         std::vector<std::pair<SimTime, int>>& out) const;
 
   static constexpr SimTime kEmptyNode = INT64_MIN;
 
   struct AttrClass {
     NodeAttributes attributes;
     int total = 0;
-    int free = 0;
     std::map<SimTime, int> busy;  ///< free_at -> occupied node count, this class
   };
 
@@ -146,23 +147,12 @@ class ClusterStateIndex final : public MachineObserver {
   const JobRegistry& jobs_;
 
   std::vector<SimTime> node_free_at_;        ///< kEmptyNode for free nodes
-  std::map<SimTime, int> busy_counts_;       ///< free_at -> occupied node count
-  int occupied_nodes_ = 0;
-
   std::vector<AttrClass> classes_;
-  std::vector<int> node_class_;              ///< node id -> index into classes_
   std::vector<int> all_classes_;             ///< 0..classes-1 (pick fast path)
-  FreeNodeIndex free_runs_;
+  FreeNodeIndex free_runs_;                  ///< owns node -> class and free counts
 
   std::uint64_t version_ = 0;
   std::uint64_t mutation_serial_ = 0;
 };
-
-/// Free-node picking through the index — the single pick point schedulers
-/// and the MateSelector share. Under SDSCHED_INDEX_CROSSCHECK every pick is
-/// compared against the machine scan, the oracle the index replaced.
-[[nodiscard]] std::optional<std::vector<int>> pick_free_nodes(
-    const Machine& machine, const ClusterStateIndex& index, int count,
-    const JobConstraints* constraints);
 
 }  // namespace sdsched

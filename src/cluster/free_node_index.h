@@ -5,10 +5,8 @@
 // constrained requests, filters every free node) on every call, and
 // SD-Policy picks nodes from inside the mate-combination DFS, so a scan
 // costs machine-size work per *evaluated combination*; it is kept only as
-// this index's oracle. The PR 5 run-based index made
-// picks O(runs touched), but every free/busy flip still paid O(log runs)
-// tree maintenance on pointer-chasing map nodes. This index is the word-
-// level endgame: per attribute class, a flat vector of 64-bit words (bit i
+// this index's oracle. This index answers the same picks from bitmap
+// words: per attribute class, a flat vector of 64-bit words (bit i
 // set <=> node i is free AND belongs to the class) plus one summary level
 // (summary bit w set <=> words[w] != 0) and a cached free-node popcount.
 //
@@ -31,11 +29,9 @@
 // would return (lowest-first, earliest adequate span for contiguous
 // requests). check_consistent runs a two-tier parity check against a
 // brute-force node scan — every bit plus the summary invariant, then the
-// derived run view (the contract the PR 5 run index used to own; that
-// structure itself served out its deprecation window as a
-// SDSCHED_INDEX_CROSSCHECK shadow and is gone) — and the ClusterStateIndex
-// harness additionally compares every indexed pick against the machine
-// scan under SDSCHED_INDEX_CROSSCHECK.
+// derived run view — and ClusterStateIndex::find_free_nodes additionally
+// compares every indexed pick against the machine scan under
+// SDSCHED_INDEX_CROSSCHECK.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +57,11 @@ class FreeNodeIndex {
   void erase(int id);
 
   [[nodiscard]] int free_count() const noexcept { return free_; }
+
+  /// Node `id`'s attribute class (the partition this index was built on).
+  [[nodiscard]] int class_of(int id) const {
+    return node_class_[static_cast<std::size_t>(id)];
+  }
 
   /// Free nodes of one class (cached popcount).
   [[nodiscard]] int free_count_of_class(int cls) const {

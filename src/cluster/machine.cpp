@@ -35,6 +35,11 @@ MachineConfig validated(MachineConfig config) {
           sockets_range.c_str(), config.node.sockets);
   require(config.node.cores_per_socket >= 1, "node.cores_per_socket", ">= 1",
           config.node.cores_per_socket);
+  const std::string ids_range = "a node id in [0, " + std::to_string(config.nodes) + ")";
+  for (const auto& entry : config.attribute_overrides) {
+    require(entry.first >= 0 && entry.first < config.nodes, "attribute_overrides",
+            ids_range.c_str(), entry.first);
+  }
   return config;
 }
 
@@ -48,7 +53,7 @@ Machine::Machine(MachineConfig config)
   // Overrides apply in list order, so the last entry for a node id wins.
   std::vector<const NodeAttributes*> attributes(config_.nodes, &config_.attributes);
   for (const auto& [id, override_attrs] : config_.attribute_overrides) {
-    if (id >= 0 && id < config_.nodes) attributes[id] = &override_attrs;
+    attributes[id] = &override_attrs;
   }
   nodes_.reserve(config_.nodes);
   for (int i = 0; i < config_.nodes; ++i) nodes_.emplace_back(i, config_.node, *attributes[i]);

@@ -48,7 +48,8 @@ class MachineObserver {
 class Machine {
  public:
   /// Throws std::invalid_argument naming the field and value when `nodes`,
-  /// `node.sockets` or `node.cores_per_socket` is < 1 or sockets > kMaxSockets.
+  /// `node.sockets` or `node.cores_per_socket` is < 1, sockets > kMaxSockets,
+  /// or an `attribute_overrides` entry names a node id outside [0, nodes).
   explicit Machine(MachineConfig config);
 
   [[nodiscard]] int node_count() const noexcept { return static_cast<int>(nodes_.size()); }
@@ -74,8 +75,8 @@ class Machine {
   [[nodiscard]] std::optional<std::vector<int>> find_free_nodes(
       int count, const JobConstraints* constraints = nullptr) const;
 
-  /// Nodes (free or busy) satisfying `constraints` — the capacity the
-  /// reservation profile should assume for a constrained job.
+  /// Nodes (free or busy) satisfying `constraints`, by scanning every node:
+  /// the oracle ClusterStateIndex::eligible_node_count is checked against.
   [[nodiscard]] int eligible_node_count(const JobConstraints& constraints) const;
 
   /// Exclusive whole-node allocation: `job` occupies each listed node,

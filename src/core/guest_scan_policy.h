@@ -29,9 +29,9 @@
 //    only until the earliest kept predicted end (Entry::valid_until,
 //    fed by MateSelector::last_scan()).
 //
-// Skips are decision-invisible by construction; SDSCHED_SD_CROSSCHECK (or
-// GuestScanPolicy::crosscheck) re-runs the full search on every claimed
-// skip and throws on divergence — the runtime analogue of the proof.
+// Skips are decision-invisible by construction; the SDSCHED_SD_CROSSCHECK
+// environment variable re-runs the full search on every claimed skip and
+// throws on divergence — the runtime analogue of the proof.
 #pragma once
 
 #include <cstdint>
@@ -71,11 +71,6 @@ struct GuestScanPolicy {
   /// Decision-invisible (see the proof above), so it defaults on; turning
   /// it off only changes how much work runs, never which plans start.
   bool ledger = true;
-
-  /// Re-run the full mate search on every claimed-safe skip and throw
-  /// std::logic_error on divergence. The SDSCHED_SD_CROSSCHECK environment
-  /// variable enables the same mode process-wide.
-  bool crosscheck = false;
 };
 
 /// Per-guest record of the state in which the last mate search failed.

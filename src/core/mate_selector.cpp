@@ -194,8 +194,7 @@ std::vector<MateSelector::Candidate> MateSelector::collect_candidates(
 bool MateSelector::resolve_free_prefix(const Job& guest, int free_used,
                                        const std::vector<int>& needs,
                                        FreePrefix& out) const {
-  const auto free_ids =
-      pick_free_nodes(machine_, *index_, free_used, &guest.spec.constraints);
+  const auto free_ids = index_->find_free_nodes(free_used, &guest.spec.constraints);
   if (!free_ids) return false;
   out.nodes.clear();
   out.nodes.reserve(static_cast<std::size_t>(free_used));

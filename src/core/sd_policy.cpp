@@ -36,7 +36,7 @@ SdPolicyScheduler::SdPolicyScheduler(Machine& machine, JobRegistry& jobs,
     : BackfillScheduler(machine, jobs, executor, sched_config),
       sd_config_(sd_config),
       selector_(machine, jobs, mate_registry_, sd_config_),
-      crosscheck_(sd_config.scan.crosscheck || sd_crosscheck_env()) {
+      crosscheck_(sd_crosscheck_env()) {
   // Warm-start scenarios construct the scheduler against running jobs.
   mate_registry_.seed(jobs_);
 }
@@ -224,7 +224,6 @@ bool SdPolicyScheduler::try_malleable(SimTime now, Job& job, SimTime est_start,
             static_end - mall_end, "s");
   executor_.start_guest(job.spec.id, *plan);
   on_job_started(job.spec.id);
-  ++malleable_starts_;
   return true;
 }
 

@@ -27,8 +27,8 @@
 // finish hooks below (reconfigurations land as machine mutations, so the
 // serial key covers them). The DynAVGSD cut-off rides the same key in a
 // one-slot cache: at a fixed (serial, epoch) it is now-independent, since
-// running jobs' waits froze at their starts. SDSCHED_SD_CROSSCHECK (env)
-// or scan.crosscheck re-runs every skipped search in full and throws
+// running jobs' waits froze at their starts. The SDSCHED_SD_CROSSCHECK
+// environment variable re-runs every skipped search in full and throws
 // std::logic_error on divergence.
 #pragma once
 
@@ -65,8 +65,8 @@ class SdPolicyScheduler final : public BackfillScheduler {
     BackfillScheduler::on_finish(job);
   }
 
-  // Decision counters (observability; Fig. 7 uses kernel-side records).
-  [[nodiscard]] std::uint64_t malleable_starts() const noexcept { return malleable_starts_; }
+  // Decision counters (observability; Fig. 7 uses kernel-side records, and
+  // SimulationReport::malleable_starts counts the starts).
   [[nodiscard]] std::uint64_t estimate_rejections() const noexcept {
     return estimate_rejections_;
   }
@@ -102,7 +102,7 @@ class SdPolicyScheduler final : public BackfillScheduler {
   MateRegistry mate_registry_;  ///< before selector_, which holds a reference
   MateSelector selector_;
   GuestScanLedger scan_ledger_;
-  bool crosscheck_ = false;     ///< scan.crosscheck OR SDSCHED_SD_CROSSCHECK
+  bool crosscheck_ = false;     ///< SDSCHED_SD_CROSSCHECK
   int guests_considered_ = 0;   ///< this pass, against scan.guest_budget
   // Rotating-slice state (scan.slice == kRotate; all zero under kPrefix,
   // keeping the prefix path byte-identical).
@@ -114,7 +114,6 @@ class SdPolicyScheduler final : public BackfillScheduler {
   std::uint64_t cutoff_serial_ = 0;
   std::uint64_t cutoff_epoch_ = 0;
   double cutoff_value_ = 0.0;
-  std::uint64_t malleable_starts_ = 0;
   std::uint64_t estimate_rejections_ = 0;
   std::uint64_t selection_failures_ = 0;
   std::uint64_t rescans_avoided_ = 0;

@@ -17,7 +17,7 @@ void Scheduler::require_cluster_index() const {
 
 std::optional<std::vector<int>> Scheduler::find_free_nodes(
     int count, const JobConstraints& constraints) const {
-  return pick_free_nodes(machine_, *cluster_index_, count, &constraints);
+  return cluster_index_->find_free_nodes(count, &constraints);
 }
 
 }  // namespace sdsched

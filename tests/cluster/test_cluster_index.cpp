@@ -49,13 +49,15 @@ struct Cluster {
   std::vector<JobId> running;
 };
 
-/// The historical full-scan profile groups, for busy_groups comparison.
+/// The historical full-scan profile groups, for busy_groups comparison;
+/// `include(id)` restricts the scan to some nodes.
+template <typename Include>
 std::map<SimTime, int> scan_groups(const Machine& machine, const JobRegistry& jobs,
-                                   SimTime now) {
+                                   SimTime now, Include include) {
   std::map<SimTime, int> frees;
   for (int id = 0; id < machine.node_count(); ++id) {
     const Node& node = machine.node(id);
-    if (node.empty()) continue;
+    if (node.empty() || !include(id)) continue;
     SimTime free_at = now + 1;
     for (const auto& occ : node.occupants()) {
       free_at = std::max(free_at, jobs.at(occ.job).predicted_end);
@@ -65,11 +67,16 @@ std::map<SimTime, int> scan_groups(const Machine& machine, const JobRegistry& jo
   return frees;
 }
 
+std::map<SimTime, int> scan_groups(const Machine& machine, const JobRegistry& jobs,
+                                   SimTime now) {
+  return scan_groups(machine, jobs, now, [](int) { return true; });
+}
+
 TEST(ClusterStateIndex, EmptyMachineIsConsistent) {
   Cluster c;
   std::string diag;
   EXPECT_TRUE(c.index->check_consistent(&diag)) << diag;
-  EXPECT_EQ(c.index->occupied_node_count(), 0);
+  EXPECT_TRUE(c.index->find_free_nodes(12).has_value());  // every node is free
   EXPECT_EQ(c.index->version(), 0u);
 
   std::vector<std::pair<SimTime, int>> groups;
@@ -84,12 +91,14 @@ TEST(ClusterStateIndex, EligibleCountsMatchMachinePartition) {
   EXPECT_EQ(c.index->eligible_node_count(highmem), 4);
   EXPECT_EQ(c.index->eligible_node_count(highmem),
             c.machine->eligible_node_count(highmem));
-  EXPECT_EQ(c.index->eligible_free_count(highmem), 4);
+  EXPECT_EQ(c.index->find_free_nodes(4, &highmem), (std::vector<int>{8, 9, 10, 11}));
+  EXPECT_FALSE(c.index->find_free_nodes(5, &highmem).has_value());
 
   NodeManager mgr(*c.machine, c.jobs, c.drom);
   const JobId id = c.add_running(0, 2, 100);
   mgr.start_static(0, id, {8, 9});
-  EXPECT_EQ(c.index->eligible_free_count(highmem), 2);
+  EXPECT_EQ(c.index->find_free_nodes(2, &highmem), (std::vector<int>{10, 11}));
+  EXPECT_FALSE(c.index->find_free_nodes(3, &highmem).has_value());
   EXPECT_EQ(c.index->eligible_node_count(highmem), 4);  // eligibility is static
   std::string diag;
   EXPECT_TRUE(c.index->check_consistent(&diag)) << diag;
@@ -135,8 +144,56 @@ TEST(ClusterStateIndex, BusyGroupsClampOverdueOccupants) {
   EXPECT_EQ(got, expect);
 }
 
+// More attribute classes than a class mask holds: the class-blind groups
+// still merge every class's busy map.
+TEST(ClusterStateIndex, BusyGroupsMergeMoreThan64Classes) {
+  MachineConfig mc;
+  mc.nodes = 70;
+  for (int id = 0; id < mc.nodes; ++id) {
+    NodeAttributes attrs;
+    attrs.memory_gb = 96 + id;  // one class per node
+    mc.attribute_overrides.emplace_back(id, attrs);
+  }
+  Machine machine(mc);
+  JobRegistry jobs;
+  DromRegistry drom;
+  ClusterStateIndex index(machine, jobs);
+  ASSERT_EQ(index.class_count(), 70);
+
+  NodeManager mgr(machine, jobs, drom);
+  // Descending node ids get ascending predicted ends, and several jobs
+  // share an end, so the merge must both sort and coalesce.
+  for (int id = 69, k = 0; id >= 0; id -= 3, ++k) {
+    JobSpec spec;
+    spec.req_cpus = machine.cores_per_node();
+    spec.req_nodes = 1;
+    spec.req_time = 10 + 5 * (k / 2);
+    spec.base_runtime = spec.req_time;
+    const JobId job = jobs.add(spec);
+    jobs.at(job).state = JobState::Running;
+    jobs.at(job).predicted_end = spec.req_time;
+    mgr.start_static(0, job, {id});
+  }
+  std::vector<std::pair<SimTime, int>> groups;
+  for (const SimTime now : {0, 12, 40}) {
+    index.busy_groups(now, groups);
+    const auto expect = scan_groups(machine, jobs, now);
+    EXPECT_EQ(groups, (std::vector<std::pair<SimTime, int>>(expect.begin(), expect.end())))
+        << "now " << now;
+  }
+  std::string diag;
+  EXPECT_TRUE(index.check_consistent(&diag)) << diag;
+}
+
 TEST(ClusterStateIndex, RandomizedLifecycleMatchesBruteForce) {
   Cluster c;
+  // The fixture's two classes, in the index's numbering: the default
+  // attributes (nodes 0-7) are class 0, the high-memory nodes class 1.
+  JobConstraints highmem;
+  highmem.min_memory_gb = 128;
+  ASSERT_EQ(c.index->class_count(), 2);
+  ASSERT_EQ(c.index->eligible_class_mask(highmem), 2u);
+  const auto class_bit = [](int id) { return id >= 8 ? 2u : 1u; };
   NodeManager mgr(*c.machine, c.jobs, c.drom);
   std::uint64_t state = 0x2545f4914f6cdd1dULL;
   const auto rnd = [&state](std::uint64_t bound) {
@@ -208,8 +265,17 @@ TEST(ClusterStateIndex, RandomizedLifecycleMatchesBruteForce) {
     ASSERT_EQ(got, scan_groups(*c.machine, c.jobs, now)) << "step " << step;
     ASSERT_TRUE(std::is_sorted(groups.begin(), groups.end())) << "step " << step;
 
-    JobConstraints highmem;
-    highmem.min_memory_gb = 128;
+    // ...and so must every class-restricted view, coalesced and sorted.
+    for (std::uint64_t mask = 1; mask <= 3; ++mask) {
+      c.index->busy_groups_for_mask(mask, now, groups);
+      const auto expect = scan_groups(*c.machine, c.jobs, now,
+                                      [&](int id) { return (mask & class_bit(id)) != 0; });
+      ASSERT_EQ(groups, (std::vector<std::pair<SimTime, int>>(expect.begin(), expect.end())))
+          << "step " << step << ", mask " << mask;
+      ASSERT_TRUE(std::is_sorted(groups.begin(), groups.end()))
+          << "step " << step << ", mask " << mask;
+    }
+
     ASSERT_EQ(c.index->eligible_node_count(highmem),
               c.machine->eligible_node_count(highmem));
   }

@@ -241,13 +241,10 @@ TEST(Machine, FreedNodeIsReusable) {
   EXPECT_TRUE(machine.allocate_exclusive(10, 2, *nodes, {48}));
 }
 
-// Out-of-range node shapes are rejected with the field and the value named,
-// before any mask could be sized from them.
-void expect_rejected(int nodes, int sockets, int cores_per_socket, const std::string& field,
+// Out-of-range configurations are rejected with the field and the value
+// named, before any mask could be sized from them.
+void expect_rejected(const MachineConfig& config, const std::string& field,
                      const std::string& value) {
-  MachineConfig config;
-  config.nodes = nodes;
-  config.node = NodeConfig{sockets, cores_per_socket};
   try {
     const Machine machine(config);
     ADD_FAILURE() << "accepted " << field << " = " << value;
@@ -256,6 +253,14 @@ void expect_rejected(int nodes, int sockets, int cores_per_socket, const std::st
     EXPECT_NE(what.find(field), std::string::npos) << what;
     EXPECT_NE(what.find("got " + value), std::string::npos) << what;
   }
+}
+
+void expect_rejected(int nodes, int sockets, int cores_per_socket, const std::string& field,
+                     const std::string& value) {
+  MachineConfig config;
+  config.nodes = nodes;
+  config.node = NodeConfig{sockets, cores_per_socket};
+  expect_rejected(config, field, value);
 }
 
 TEST(Machine, RejectsNodeWithoutSockets) { expect_rejected(4, 0, 24, "node.sockets", "0"); }
@@ -274,6 +279,21 @@ TEST(Machine, RejectsSocketsWithoutCores) {
 }
 
 TEST(Machine, RejectsMachineWithoutNodes) { expect_rejected(0, 2, 24, "nodes", "0"); }
+
+// A mistyped override id must not silently leave the machine homogeneous.
+TEST(Machine, RejectsAttributeOverrideForMissingNode) {
+  NodeAttributes highmem;
+  highmem.memory_gb = 384;
+  MachineConfig config;
+  config.nodes = 4;
+  config.attribute_overrides = {{3, highmem}, {4, highmem}};
+  expect_rejected(config, "attribute_overrides", "4");
+  config.attribute_overrides = {{-1, highmem}};
+  expect_rejected(config, "attribute_overrides", "-1");
+  // The last node id is in range.
+  config.attribute_overrides = {{3, highmem}};
+  EXPECT_EQ(Machine(config).node(3).attributes().memory_gb, 384);
+}
 
 // The free-node count is kept incrementally from emptiness flips; under
 // random churn — exclusive starts, shares added, resized and removed,

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "../integration/golden_common.h"
@@ -155,11 +156,15 @@ TEST(SdSaturation, TightBudgetDefersButDrains) {
 // every claimed-safe skip inside the pass and throws std::logic_error when
 // a skip would have hidden a plan. A clean saturated run with skips firing
 // IS the exhaustive "no guest with a changed mate set was skipped" check.
+// The mode is process-wide (SDSCHED_SD_CROSSCHECK); CTest sets it for this
+// test binary (tests/core/CMakeLists.txt).
 TEST(SdSaturation, CrosscheckValidatesEverySkip) {
+  const char* mode = std::getenv("SDSCHED_SD_CROSSCHECK");
+  ASSERT_TRUE(mode != nullptr && *mode != '\0' && std::string(mode) != "0")
+      << "run with SDSCHED_SD_CROSSCHECK=1 (ctest sets it), or the recheck is vacuous";
   for (const std::uint64_t seed : {11u, 47u}) {
     GuestScanPolicy scan;
     scan.ledger = true;
-    scan.crosscheck = true;
     SimulationReport report;
     ASSERT_NO_THROW(report = run_cell(seed, scan))
         << "crosscheck refuted a ledger skip at seed " << seed;
