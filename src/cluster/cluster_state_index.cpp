@@ -36,24 +36,26 @@ ClusterStateIndex::ClusterStateIndex(Machine& machine, const JobRegistry& jobs)
 
   // Index whatever is already running (warm-start scenarios attach to a
   // populated machine).
-  for (int id = 0; id < nodes; ++id) refresh_node(id);
+  occupancy_stamp_.assign(jobs_.size(), 0);
+  for (int id = 0; id < nodes; ++id) refresh_node(id, occupancy_stamp_.data());
   machine_.set_observer(this);
 }
 
 ClusterStateIndex::~ClusterStateIndex() { machine_.set_observer(nullptr); }
 
-SimTime ClusterStateIndex::scan_free_at(int node_id) const {
+SimTime ClusterStateIndex::scan_free_at(int node_id, std::uint64_t* stamps) const {
   const Node& node = machine_.node(node_id);
   if (node.empty()) return kEmptyNode;
   SimTime free_at = INT64_MIN + 1;
   for (const auto& occ : node.occupants()) {
     free_at = std::max(free_at, jobs_.at(occ.job).predicted_end);
+    if (stamps != nullptr) stamps[occ.job] = mutation_serial_;
   }
   return free_at;
 }
 
-void ClusterStateIndex::refresh_node(int node_id) {
-  const SimTime free_at = scan_free_at(node_id);
+void ClusterStateIndex::refresh_node(int node_id, std::uint64_t* stamps) {
+  const SimTime free_at = scan_free_at(node_id, stamps);
   SimTime& slot = node_free_at_[static_cast<std::size_t>(node_id)];
   if (free_at == slot) return;
 
@@ -77,15 +79,21 @@ void ClusterStateIndex::refresh_node(int node_id) {
   ++version_;
 }
 
+void ClusterStateIndex::grow_stamps() { occupancy_stamp_.resize(jobs_.size(), 0); }
+
 void ClusterStateIndex::on_node_occupancy_changed(int node_id) {
   ++mutation_serial_;
-  refresh_node(node_id);
+  // Jobs added to the registry since the last notification may be among
+  // the occupants.
+  if (occupancy_stamp_.size() < jobs_.size()) [[unlikely]] grow_stamps();
+  refresh_node(node_id, occupancy_stamp_.data());
 }
 
 void ClusterStateIndex::on_predicted_end_changed(JobId job) {
+  // A predicted end is not a budget input: refresh free_at, stamp nothing.
   ++mutation_serial_;
   for (const NodeShare& share : jobs_.at(job).shares) {
-    refresh_node(share.node);
+    refresh_node(share.node, /*stamps=*/nullptr);
   }
 }
 

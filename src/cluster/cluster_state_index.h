@@ -22,7 +22,11 @@
 //    every start and from SD-Policy's mate-combination DFS — resolves with
 //    popcount/ctz word scans instead of scanning the machine's nodes;
 //  * a version counter, so schedulers can reuse their profile base across
-//    passes when nothing changed.
+//    passes when nothing changed;
+//  * a per-job occupancy stamp, written in the occupant walk each
+//    occupancy notification already makes, so per-job caches (the
+//    MateSelector's node budgets) invalidate only when one of the job's
+//    own nodes is touched.
 //
 // Quantities another layer already owns are not copied here: the node ->
 // class map and the free counts (total and per class) are the
@@ -77,9 +81,20 @@ class ClusterStateIndex final : public MachineObserver {
   /// Bumped on EVERY occupancy/predicted-end notification, including ones
   /// that change nothing the index tracks. An unchanged mutation_serial
   /// guarantees the machine has not been touched at all — the key the
-  /// MateSelector's node-budget cache (which reads per-share core counts
-  /// the index itself does not model) is valid under.
+  /// failed-select ledger and the SD cut-off cache are valid under.
   [[nodiscard]] std::uint64_t mutation_serial() const noexcept { return mutation_serial_; }
+
+  /// The mutation_serial() of the last occupancy notification on any node
+  /// `job` occupied at that notification (0 when there was none since the
+  /// index was built). Predicted-end moves do not stamp. Every core change
+  /// on a node notifies it, so an unchanged stamp guarantees that `job`'s
+  /// shares and the free cores of its nodes are unchanged — the key the
+  /// MateSelector's per-job node-budget cache is valid under
+  /// (docs/determinism.md "Budget-cache stamp safety").
+  [[nodiscard]] std::uint64_t occupancy_stamp(JobId job) const noexcept {
+    const auto idx = static_cast<std::size_t>(job);
+    return idx < occupancy_stamp_.size() ? occupancy_stamp_[idx] : 0;
+  }
 
   /// Occupied-node release groups for a pass at `now`: ascending (free_at,
   /// nodes) with overdue occupants (free_at <= now) clamped to now + 1
@@ -124,10 +139,19 @@ class ClusterStateIndex final : public MachineObserver {
 
  private:
   /// Recompute one node's free_at and its class's busy map; bumps the
-  /// version only when something actually changed.
-  void refresh_node(int node_id);
+  /// version only when something actually changed. A non-null `stamps`
+  /// is passed on to scan_free_at.
+  void refresh_node(int node_id, std::uint64_t* stamps);
 
-  [[nodiscard]] SimTime scan_free_at(int node_id) const;
+  /// Latest predicted end among the node's occupants (kEmptyNode when
+  /// free). A non-null `stamps` (occupancy_stamp_'s data, sized to the
+  /// registry) receives mutation_serial_ for every occupant in the same
+  /// walk.
+  [[nodiscard]] SimTime scan_free_at(int node_id, std::uint64_t* stamps = nullptr) const;
+
+  /// Size occupancy_stamp_ to the registry. Out of line, so the
+  /// per-notification path carries only the size check.
+  void grow_stamps();
 
   /// The busy maps of every class (`all_classes`) or of the classes in
   /// `mask`, merged into ascending release groups with overdue occupants
@@ -150,6 +174,7 @@ class ClusterStateIndex final : public MachineObserver {
   std::vector<AttrClass> classes_;
   std::vector<int> all_classes_;             ///< 0..classes-1 (pick fast path)
   FreeNodeIndex free_runs_;                  ///< owns node -> class and free counts
+  std::vector<std::uint64_t> occupancy_stamp_;  ///< by JobId; see occupancy_stamp()
 
   std::uint64_t version_ = 0;
   std::uint64_t mutation_serial_ = 0;

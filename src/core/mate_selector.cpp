@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "cluster/cluster_state_index.h"
@@ -10,9 +11,20 @@
 #include "core/cutoff.h"
 #include "core/mate_registry.h"
 #include "model/runtime_model.h"
+#include "util/logging.h"
 #include "workload/app_profiles.h"
 
 namespace sdsched {
+
+bool sd_crosscheck_env() noexcept {
+  static const bool enabled = []() noexcept {
+    // NOLINTNEXTLINE(concurrency-mt-unsafe) — one-time read under static init
+    const char* value = std::getenv("SDSCHED_SD_CROSSCHECK");
+    return value != nullptr && value[0] != '\0' &&
+           !(value[0] == '0' && value[1] == '\0');
+  }();
+  return enabled;
+}
 
 namespace {
 
@@ -62,14 +74,23 @@ bool MateSelector::eligible_mate(const Job& candidate, const Job& guest,
 MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
                                                        const Job& guest) const {
   CachedBudgets& slot = budget_cache_[static_cast<std::size_t>(job.spec.id)];
-  // Budgets read mate shares and node free cores — state BELOW the index's
-  // own resolution (a share resize can leave a node's free_at untouched),
-  // so the cache keys on mutation_serial(), which bumps on every machine
-  // notification, not on version(), which only bumps when indexed state
-  // changed. Adaptive sharing makes the SharingFactor a function of the
-  // (mate, guest) pairing, so it refills every time.
-  if (!config_.adaptive_sharing && slot.valid &&
-      slot.version == index_->mutation_serial()) {
+  // Budgets read the job's shares and its nodes' free cores — state BELOW
+  // the index's own resolution (a share resize can leave a node's free_at
+  // untouched) — so the cache keys on the job's occupancy stamp, which
+  // moves on every notification of one of its nodes, not on version(),
+  // which only bumps when indexed state changed. Adaptive sharing makes
+  // the SharingFactor a function of the (mate, guest) pairing, so it
+  // refills every time.
+  const std::uint64_t stamp = index_->occupancy_stamp(job.spec.id);
+  if (!config_.adaptive_sharing && slot.valid && slot.version == stamp) {
+    if (crosscheck_) {
+      std::vector<NodeBudget> fresh;
+      const bool feasible = fill_budgets(job, config_.sharing_factor, fresh);
+      if (feasible != slot.feasible || fresh != slot.nodes) {
+        log_error("sd", "cached budgets of job ", job.spec.id, " diverged at stamp ", stamp);
+        throw std::logic_error("MateSelector budget cache diverged from a fresh share walk");
+      }
+    }
     return slot;
   }
 
@@ -81,9 +102,17 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
                                     profile_of(guest))
           : config_.sharing_factor;
 
-  slot.nodes.clear();
-  slot.feasible = true;
+  ++stats_.budget_refills;
+  slot.feasible = fill_budgets(job, sharing_factor, slot.nodes);
   slot.memo_u_max = -1;
+  slot.valid = true;
+  slot.version = stamp;
+  return slot;
+}
+
+bool MateSelector::fill_budgets(const Job& job, double sharing_factor,
+                                std::vector<NodeBudget>& nodes) const {
+  nodes.clear();
   for (const auto& share : job.shares) {
     const Node& node = machine_.node(share.node);
     NodeBudget budget;
@@ -99,15 +128,10 @@ MateSelector::CachedBudgets& MateSelector::budgets_for(const Job& job,
         std::min(take_cap - already_taken, budget.mate_current - budget.mate_min), 0,
         budget.mate_current);
     budget.guest_max = budget.idle + max_take;
-    if (budget.guest_max < 1) {
-      slot.feasible = false;
-      break;
-    }
-    slot.nodes.push_back(budget);
+    if (budget.guest_max < 1) return false;
+    nodes.push_back(budget);
   }
-  slot.valid = true;
-  slot.version = index_->mutation_serial();
-  return slot;
+  return true;
 }
 
 void MateSelector::examine_candidate(const Job& job, const Job& guest, SimTime now,

@@ -43,16 +43,28 @@ namespace sdsched {
 class ClusterStateIndex;
 class MateRegistry;
 
+/// SDSCHED_SD_CROSSCHECK: re-derive every SD cache hit — ledger-skipped
+/// mate searches, the cut-off cache, cached mate budgets — in full and
+/// throw std::logic_error on divergence. Read once; every scheduler and
+/// selector (and sweep worker) shares the value, like the other SDSCHED_*
+/// mode switches.
+[[nodiscard]] bool sd_crosscheck_env() noexcept;
+
 class MateSelector {
  public:
   /// `registry` must track `jobs`' running set (its owner forwards every
   /// start and finish) for as long as the selector is used.
   MateSelector(const Machine& machine, const JobRegistry& jobs, const MateRegistry& registry,
                const SdConfig& config) noexcept
-      : machine_(machine), jobs_(jobs), registry_(registry), config_(config) {}
+      : machine_(machine),
+        jobs_(jobs),
+        registry_(registry),
+        config_(config),
+        crosscheck_(sd_crosscheck_env()) {}
 
   /// Attach the cluster index free-node picks and the budget cache key
-  /// read. select() throws std::logic_error until one is attached.
+  /// (its per-job occupancy stamps) read. select() throws
+  /// std::logic_error until one is attached.
   void set_cluster_index(const ClusterStateIndex* index) noexcept { index_ = index; }
 
   /// `job` finished: free its cached budget storage. Keeps the cache's heap
@@ -81,6 +93,7 @@ class MateSelector {
     std::uint64_t candidates_scanned = 0;      ///< jobs examined for the mate role
     std::uint64_t combinations_evaluated = 0;  ///< DFS leaf evaluations
     std::uint64_t plans_found = 0;             ///< selects that produced a plan
+    std::uint64_t budget_refills = 0;          ///< budget-cache misses (share walks)
   };
   [[nodiscard]] const SelectStats& stats() const noexcept { return stats_; }
 
@@ -104,22 +117,25 @@ class MateSelector {
     int mate_min = 1;        ///< rank floor
     int idle = 0;            ///< free cores on the node
     int guest_max = 0;       ///< most the guest could get on this node
+
+    friend bool operator==(const NodeBudget&, const NodeBudget&) = default;
   };
   /// A candidate's per-share budgets are guest-independent (unless
   /// adaptive sharing ties the SharingFactor to the pairing), so they are
-  /// cached per job and recomputed only when the cluster index reports a
-  /// machine notification (mutation_serial — budgets read per-share core
-  /// counts below the resolution of the index's change-only version) —
-  /// the share walk (which sums node occupants per share) went from once
-  /// per select() to once per cluster mutation.
+  /// cached per job and recomputed only when the job's occupancy stamp
+  /// moves — an occupancy notification on one of its own nodes. Budgets
+  /// read per-share core counts and node free cores, below the resolution
+  /// of the index's change-only version; a notification elsewhere in the
+  /// machine leaves them alone.
   struct CachedBudgets {
-    std::uint64_t version = 0;  ///< index mutation serial the budgets reflect
+    std::uint64_t version = 0;  ///< the job's occupancy stamp the budgets reflect
     bool valid = false;         ///< version/contents are meaningful
     bool feasible = false;      ///< every share can host >= 1 guest cpu
     std::vector<NodeBudget> nodes;
     /// Quick-penalty memo: worst kept/static ratio for the last per-node
     /// guest need (u_max) asked about — guests overwhelmingly share one
     /// u_max (whole nodes), so the per-share minimum collapses to a hit.
+    /// A pure function of the budgets: it lives as long as they do.
     int memo_u_max = -1;
     double memo_ratio = 1.0;
   };
@@ -146,6 +162,10 @@ class MateSelector {
                          double max_slowdown, SimTime quick_d0, int u_max,
                          std::vector<Candidate>& out) const;
   [[nodiscard]] CachedBudgets& budgets_for(const Job& job, const Job& guest) const;
+  /// Walk `job`'s shares into `nodes`; false when some share cannot host a
+  /// guest cpu (the walk stops there).
+  [[nodiscard]] bool fill_budgets(const Job& job, double sharing_factor,
+                                  std::vector<NodeBudget>& nodes) const;
   [[nodiscard]] bool resolve_free_prefix(const Job& guest, int free_used,
                                          const std::vector<int>& needs,
                                          FreePrefix& out) const;
@@ -159,13 +179,15 @@ class MateSelector {
   const MateRegistry& registry_;
   const SdConfig& config_;
   const ClusterStateIndex* index_ = nullptr;
+  bool crosscheck_ = false;  ///< SDSCHED_SD_CROSSCHECK: recompute budgets on every hit
   mutable SelectStats stats_;
   mutable ScanSummary last_scan_;
   /// Indexed by JobId; sized to the job registry at the start of a collect,
   /// so entries (and the pointers Candidates take into them) stay put for
-  /// the whole select. Budgets are reused across selects and passes while
-  /// the index's mutation serial is unchanged; with adaptive sharing (whose
-  /// SharingFactor depends on the guest) every examine refills its slot.
+  /// the whole select. A job's budgets are reused across selects and passes
+  /// while its occupancy stamp in the index is unchanged; with adaptive
+  /// sharing (whose SharingFactor depends on the guest) every examine
+  /// refills its slot.
   mutable std::vector<CachedBudgets> budget_cache_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -12,23 +11,6 @@
 #include "util/logging.h"
 
 namespace sdsched {
-
-namespace {
-
-/// SDSCHED_SD_CROSSCHECK: re-run every ledger-skipped mate search in full
-/// and throw on divergence. Read once; all schedulers (and sweep workers)
-/// share the value, like the other SDSCHED_* mode switches.
-bool sd_crosscheck_env() noexcept {
-  static const bool enabled = []() noexcept {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — one-time read under static init
-    const char* value = std::getenv("SDSCHED_SD_CROSSCHECK");
-    return value != nullptr && value[0] != '\0' &&
-           !(value[0] == '0' && value[1] == '\0');
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 SdPolicyScheduler::SdPolicyScheduler(Machine& machine, JobRegistry& jobs,
                                      StartExecutor& executor, SchedConfig sched_config,
